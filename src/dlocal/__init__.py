@@ -11,7 +11,6 @@ from .coeff_ring import RingElem, gauss_symbol
 from .decoration import (
     Component,
     DecoratedGraph,
-    classify_components,
     component_structure,
     decorate,
     is_strict,
@@ -33,10 +32,10 @@ from .oracle import (
     check_rank2,
     check_tokuyama,
     kubota_local,
+    tokuyama_product,
 )
 from .pattern import (
     LittelmannPattern,
-    PartialSums,
     count_patterns,
     critical_positions,
     enumerate_decorated,
@@ -52,7 +51,6 @@ from .root_data import (
     RootSystemD,
     bourbaki_permutation,
     build_root_system,
-    tokuyama_product,
     weyl_dimension,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "HighestWeight",
     "LittelmannPattern",
     "LocalPart",
-    "PartialSums",
     "RingElem",
     "RootSystemD",
     "VerificationReport",
@@ -75,7 +72,6 @@ __all__ = [
     "check_example2",
     "check_rank2",
     "check_tokuyama",
-    "classify_components",
     "component_structure",
     "count_patterns",
     "critical_positions",

@@ -2,7 +2,9 @@
 
 One binary with subcommands; every number printed is exact unless the
 explicitly non-canonical --eval-p substitution is requested.  Exit status
-0 on success, 1 when a verification suite fails, 2 on usage errors.
+0 on success, 1 when a verification suite fails, 2 on usage errors: bad
+flags, and any ValueError or OSError a subcommand raises on its input or
+its --output path, which ``main`` reports as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,14 +14,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .coeff_ring import RingElem, _gmono_str
+from .coeff_ring import _gmono_str
 from .decoration import (
     _strictness_failure,
     component_structure,
     decorate,
     render_decorated,
+    strictness_counts,
 )
-from .local_part import LocalPart, local_part, sigma_component, sigma_rule_tag
+from .local_part import LocalPart, component_rule, local_part, pattern_contribution
 from .oracle import (
     check_all,
     check_dimension,
@@ -42,11 +45,6 @@ def _int_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _write(text: str, path) -> None:
     if path:
         with open(path, "w") as fh:
@@ -58,8 +56,6 @@ def _write(text: str, path) -> None:
 def _highest_weight(rank: int, twist) -> HighestWeight:
     if len(twist) != rank:
         raise ValueError(f"twist must have {rank} entries, got {len(twist)}")
-    if any(l < 0 for l in twist):
-        raise ValueError(f"twist entries must be >= 0, got {twist}")
     return HighestWeight.from_twist(twist)
 
 
@@ -75,12 +71,11 @@ def _format_eval_p(part: LocalPart, p_value: Fraction) -> str:
 
 
 def cmd_compute(args) -> int:
-    try:
-        hw = _highest_weight(args.rank, args.twist)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    hw = _highest_weight(args.rank, args.twist)
     if args.coeff is not None and len(args.coeff) != args.rank:
-        return _usage_error(f"--coeff must have {args.rank} entries")
+        raise ValueError(f"--coeff must have {args.rank} entries")
+    if args.eval_p is not None and (args.coeff is not None or args.format == "json"):
+        raise ValueError("--eval-p applies only to the full local part in text format")
     rs = build_root_system(args.rank)
     part = local_part(rs, hw, n=args.n, weight=args.coeff, jobs=args.jobs)
 
@@ -113,21 +108,13 @@ def cmd_compute(args) -> int:
 
 
 def cmd_patterns(args) -> int:
-    try:
-        hw = _highest_weight(args.rank, args.twist)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    hw = _highest_weight(args.rank, args.twist)
     if args.weight is not None and len(args.weight) != args.rank:
-        return _usage_error(f"--weight must have {args.rank} entries")
+        raise ValueError(f"--weight must have {args.rank} entries")
     rs = build_root_system(args.rank)
-    stream = enumerate_decorated(rs, hw, args.weight)
 
     if args.count_only:
-        total = nonstrict = 0
-        for T, crit in stream:
-            total += 1
-            if _strictness_failure(T, crit) is not None:
-                nonstrict += 1
+        total, nonstrict = strictness_counts(rs, hw, args.weight)
         if args.format == "json":
             obj = {"total": total, "nonstrict": nonstrict, "strict": total - nonstrict}
             _write(json.dumps(obj, separators=(",", ":")), args.output)
@@ -140,7 +127,7 @@ def cmd_patterns(args) -> int:
 
     records = []
     lines = []
-    for T, crit in stream:
+    for T, crit in enumerate_decorated(rs, hw, args.weight):
         strict = _strictness_failure(T, crit) is None
         lam = weight_vector(T)
         if args.format == "json":
@@ -167,50 +154,30 @@ def cmd_patterns(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        T = LittelmannPattern.from_string(args.pattern)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    T = LittelmannPattern.from_string(args.pattern)
     if args.rank is not None and args.rank != T.rank:
-        return _usage_error(f"pattern literal has rank {T.rank}, not {args.rank}")
-    try:
-        hw = _highest_weight(T.rank, args.twist)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if not T.is_admissible():
-        return _usage_error("pattern rows are not weakly decreasing")
-    try:
-        graph = decorate(T, hw)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(f"pattern literal has rank {T.rank}, not {args.rank}")
+    hw = _highest_weight(T.rank, args.twist)
+    graph = decorate(T, hw)
 
     n = args.n
     lam = weight_vector(T)
     out = [render_decorated(graph), ""]
     out.append(f"weight: {','.join(map(str, lam))}   |weight| = {sum(lam)}")
-    components = component_structure(T)
     failure = _strictness_failure(T, graph.circled)
-    total = None
-    factors = []
-    for comp in components:
-        tag = sigma_rule_tag(comp, graph.circled, n)
-        if failure is None:
-            factor = sigma_component(comp, graph.circled, n)
-            factors.append(factor)
-            shown = str(factor)
-        else:
-            shown = "skipped"
+    for comp in component_structure(T):
+        factor, tag = component_rule(comp, graph.circled, n)
+        shown = str(factor) if failure is None else "skipped"
         cols = ",".join(map(str, comp.columns))
         out.append(
             f"row {comp.row} columns [{cols}] value {comp.value}: {comp.kind}; "
             f"{tag}; factor = {shown}"
         )
     if failure is None:
-        total = RingElem.p_power(sum(lam), n)
-        for factor in factors:
-            total = total * factor
         out.append("strict: yes")
-        out.append(f"contribution: p^{sum(lam)} * product = {total}")
+        out.append(
+            f"contribution: p^{sum(lam)} * product = {pattern_contribution(T, hw, n)}"
+        )
     else:
         out.append(f"strict: no ({failure})")
         out.append("contribution: excluded (nonstrict patterns are discarded)")
@@ -226,7 +193,7 @@ def cmd_verify(args) -> int:
             check_dimension(max_rank=args.max_rank, max_twist=max_twist, extra_cases=extra)
         ]
     elif args.suite == "tokuyama":
-        reports = [check_tokuyama(max_rank=args.rank if args.rank else min(args.max_rank, 4))]
+        reports = [check_tokuyama(max_rank=args.max_rank)]
     elif args.suite == "rank2":
         max_twist = 3 if args.max_twist is None else args.max_twist
         reports = [check_rank2(max_twist=max_twist, max_n=args.max_n)]
@@ -297,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="defaults to the acceptance grid of the chosen suite",
     )
     verify.add_argument("--max-n", type=int, default=4, dest="max_n")
-    verify.add_argument("--rank", type=int, help="largest rank for the tokuyama suite")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", help="write to this path instead of stdout")
     verify.set_defaults(func=cmd_verify)
@@ -311,7 +277,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -14,11 +14,14 @@ length is then half the vertex count.
 
 A pattern is strict unless some circled vertex carries the value 0, or
 some component that is not a multiple leaner has an edge whose earlier
-endpoint (in the row-chain order) is circled.
+endpoint (in the row-chain order) is circled.  Both kinds of vertex are
+the row's strictness probes, so the rule reads: a pattern is nonstrict
+exactly when one of its circled vertices is a probe.
 
-Component structure depends only on the values of one row, so everything
-here is memoized per (rank, row index, row values); enumeration revisits
-the same rows constantly and the cache turns classification into lookups.
+Components, probes and the row's weight depend only on the values of one
+row, so ``_row_analysis`` memoizes them per (rank, row index, row values).
+Assembly reaches it only through ``local_part.row_term``, whose own cache
+adds the row's circled positions and the cover degree to that key.
 """
 
 from __future__ import annotations
@@ -31,9 +34,11 @@ from .pattern import (
     LittelmannPattern,
     Position,
     critical_positions,
+    enumerate_decorated,
     first_bound_violation,
+    row_weight,
 )
-from .root_data import HighestWeight
+from .root_data import HighestWeight, RootSystemD
 
 ORDINARY = "ordinary"
 ML_ASYMMETRIC = "ml_asymmetric"
@@ -63,10 +68,6 @@ class Component:
     length: Optional[int] = None  # ml_symmetric only
     shorter_leg_endpoint: Optional[Position] = None  # ml_asymmetric only
     upsilon: Optional[Position] = None  # ml_symmetric only
-
-    @property
-    def vertices(self) -> tuple[Position, ...]:
-        return tuple((self.row, c) for c in self.columns)
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,10 @@ def _row_analysis(
 ) -> tuple[tuple[Component, ...], tuple[Position, ...], tuple[int, ...]]:
     """Per-row data: (components, strictness probes, weight delta).
 
-    The probes are the earlier endpoints of every edge inside a component
-    that is not a multiple leaner; circling any of them makes the pattern
-    nonstrict.  The weight delta is this row's contribution to the weight
-    vector.
+    The probes are the row's zero entries and the earlier endpoints of
+    every edge inside a component that is not a multiple leaner; circling
+    any of them makes the pattern nonstrict.  The weight delta is this
+    row's contribution to the weight vector.
     """
     r = rank
 
@@ -159,7 +160,7 @@ def _row_analysis(
         for group in sorted(groups.values())
     )
 
-    probes = []
+    probes = [(i, c) for c in cols if entry(c) == 0]
     for comp in components:
         if comp.kind != ORDINARY:
             continue
@@ -168,14 +169,7 @@ def _row_analysis(
             if a in colset and b in colset:
                 probes.append((i, a))
 
-    delta = [0] * r
-    delta[0] = entry(r - 1)
-    delta[1] = entry(r)
-    for k in range(3, r + 1):
-        c = r + 1 - k
-        if c >= i:
-            delta[k - 1] = entry(c) + entry(2 * r - 1 - c)
-    return components, tuple(probes), tuple(delta)
+    return components, tuple(probes), row_weight(rank, i, row)
 
 
 def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
@@ -206,30 +200,38 @@ def decorate(T: LittelmannPattern, hw: HighestWeight) -> DecoratedGraph:
     )
 
 
-def classify_components(g: DecoratedGraph) -> tuple[Component, ...]:
-    return component_structure(g.pattern)
-
-
-def _strictness_failure_rows(rank, rows, circled) -> Optional[str]:
-    for i, j in circled:
-        if rows[i - 1][j - i] == 0:
-            return f"circled zero at row {i}, column {j}"
-    for i, row in enumerate(rows, start=1):
-        for pos in _row_analysis(rank, i, row)[1]:
-            if pos in circled:
-                return (
-                    f"circled entry at row {pos[0]}, column {pos[1]} leans on its "
-                    "equal right neighbor"
-                )
-    return None
-
-
 def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
-    return _strictness_failure_rows(T.rank, T.rows, circled)
+    """Why the circled positions make T nonstrict, or None when T is strict.
+
+    The first circled zero in row order is reported before any circled
+    vertex that leans.
+    """
+    failing = [
+        pos
+        for i, row in enumerate(T.rows, start=1)
+        for pos in _row_analysis(T.rank, i, row)[1]
+        if pos in circled
+    ]
+    if not failing:
+        return None
+    i, j = min(failing, key=lambda pos: T.entry(*pos) > 0)
+    if T.entry(i, j) == 0:
+        return f"circled zero at row {i}, column {j}"
+    return f"circled entry at row {i}, column {j} leans on its equal right neighbor"
 
 
 def is_strict(T: LittelmannPattern, hw: HighestWeight) -> bool:
     return _strictness_failure(T, critical_positions(T, hw)) is None
+
+
+def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[int, int]:
+    """(total, nonstrict) over the bounded patterns, optionally of one weight."""
+    total = nonstrict = 0
+    for T, crit in enumerate_decorated(rs, hw, weight):
+        total += 1
+        if _strictness_failure(T, crit) is not None:
+            nonstrict += 1
+    return total, nonstrict
 
 
 # -- rendering ----------------------------------------------------------------

@@ -17,9 +17,15 @@ vertex just left of y.  Zero-valued components contribute 1.
 
 A pattern of weight lambda contributes p^|lambda| times the product of its
 component contributions, and the coefficient a_lambda of the local part is
-the sum over strict patterns of weight lambda.  The sigma values and the
-small p-powers are cached and shared; nothing ever mutates a RingElem, so
-sharing is safe.
+the sum over strict patterns of weight lambda.  Components never cross
+rows, so the product splits into row factors.  ``row_term`` is the only
+code that applies the strictness rule and multiplies component
+contributions; the sum (``_accumulate``) and ``pattern_contribution``
+(which ``explain`` prints) both multiply its row factors.  It is memoized
+per (rank, row index, row values, circled positions, n), so the rule runs
+once per distinct row.  The row terms, sigma values and small p-powers
+are cached and shared; nothing ever mutates a RingElem, so sharing is
+safe.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 from .coeff_ring import RingElem, gauss_symbol
 from .decoration import (
@@ -37,10 +44,10 @@ from .decoration import (
     Component,
     _row_analysis,
     _strictness_failure,
-    component_structure,
 )
 from .pattern import (
     LittelmannPattern,
+    Position,
     _check_args,
     _complete,
     _row_fills,
@@ -108,51 +115,75 @@ def sigma_entry(value: int, circled: bool, n: int) -> RingElem:
     return RingElem.zero(n)
 
 
-def sigma_component(comp: Component, circled, n: int) -> RingElem:
-    """Standard contribution of a component of the decorated graph."""
+def component_rule(comp: Component, circled, n: int) -> tuple[RingElem, str]:
+    """Standard contribution of a component and the name of the rule giving it."""
     if comp.value == 0:
-        return _one(n)
+        return _one(n), "zero component -> 1"
     if comp.kind == ORDINARY:
-        return sigma_entry(comp.value, comp.rightmost in circled, n)
+        circ = comp.rightmost in circled
+        factor = sigma_entry(comp.value, circ, n)
+        if circ:
+            return factor, "rightmost circled -> g/p"
+        if comp.value % n == 0:
+            return factor, "rightmost uncircled, n | value -> 1 - 1/p"
+        return factor, "rightmost uncircled, n does not divide value -> 0"
     if comp.kind == ML_ASYMMETRIC:
-        return sigma_entry(comp.value, comp.shorter_leg_endpoint in circled, n)
+        circ = comp.shorter_leg_endpoint in circled
+        side = "circled" if circ else "uncircled"
+        return (
+            sigma_entry(comp.value, circ, n),
+            f"asymmetric leaner, shorter-leg endpoint {side}",
+        )
     if comp.kind == ML_SYMMETRIC:
         if comp.rightmost in circled:
-            return (
+            factor = (
                 sigma_entry(comp.value, True, n)
                 * sigma_entry(comp.value, comp.upsilon in circled, n)
                 * _p_pow(-(comp.length - 1), n)
             )
-        return sigma_entry(comp.value, False, n) * (_one(n) - _p_pow(-comp.length, n))
+            return factor, (
+                f"symmetric leaner of length {comp.length}, rightmost circled -> "
+                "sigma(y) sigma(upsilon) / p^(length-1)"
+            )
+        factor = sigma_entry(comp.value, False, n) * (_one(n) - _p_pow(-comp.length, n))
+        return factor, (
+            f"symmetric leaner of length {comp.length}, rightmost uncircled -> "
+            "sigma(y) (1 - 1/p^length)"
+        )
     raise ValueError(f"unclassified component kind {comp.kind!r}")
 
 
-def sigma_rule_tag(comp: Component, circled, n: int) -> str:
-    """Human-readable name of the rule sigma_component applies."""
-    if comp.value == 0:
-        return "zero component -> 1"
-    if comp.kind == ORDINARY:
-        if comp.rightmost in circled:
-            return "rightmost circled -> g/p"
-        if comp.value % n == 0:
-            return "rightmost uncircled, n | value -> 1 - 1/p"
-        return "rightmost uncircled, n does not divide value -> 0"
-    if comp.kind == ML_ASYMMETRIC:
-        side = "circled" if comp.shorter_leg_endpoint in circled else "uncircled"
-        return f"asymmetric leaner, shorter-leg endpoint {side}"
-    if comp.rightmost in circled:
-        return (
-            f"symmetric leaner of length {comp.length}, rightmost circled -> "
-            "sigma(y) sigma(upsilon) / p^(length-1)"
-        )
-    return (
-        f"symmetric leaner of length {comp.length}, rightmost uncircled -> "
-        "sigma(y) (1 - 1/p^length)"
-    )
+def sigma_component(comp: Component, circled, n: int) -> RingElem:
+    """Standard contribution of a component of the decorated graph."""
+    return component_rule(comp, circled, n)[0]
+
+
+@lru_cache(maxsize=None)
+def row_term(
+    rank: int, i: int, row: tuple[int, ...], crit: tuple[Position, ...], n: int
+) -> tuple[Optional[RingElem], tuple[int, ...]]:
+    """(factor, weight delta) of row i with the positions in ``crit`` circled.
+
+    The factor is the product of the row's component contributions (the
+    shared unit when all are 1), or None when a circled position is a
+    strictness probe: the row makes the pattern nonstrict.
+    """
+    components, probes, delta = _row_analysis(rank, i, row)
+    if any(pos in probes for pos in crit):
+        return None, delta
+    unit = _one(n)
+    factor = unit
+    for comp in components:
+        value = sigma_component(comp, crit, n)
+        if value.is_zero:
+            return value, delta
+        if value is not unit:
+            factor = factor * value
+    return factor, delta
 
 
 def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> RingElem:
-    """p^|lambda(T)| times the product of component contributions.
+    """p^|lambda(T)| times the product of T's row factors.
 
     Rejects patterns that are not strict (their contribution is excluded
     from the local part, not zero).
@@ -161,38 +192,29 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     failure = _strictness_failure(T, circled)
     if failure is not None:
         raise ValueError(f"nonstrict pattern: {failure}")
-    acc = _p_pow(sum(weight_vector(T)), n)
-    for comp in component_structure(T):
-        factor = sigma_component(comp, circled, n)
-        if factor.is_zero:
-            return RingElem.zero(n)
-        acc = acc * factor
-    return acc
+    value = _p_pow(sum(weight_vector(T)), n)
+    for i, row in enumerate(T.rows, start=1):
+        crit = tuple(sorted(pos for pos in circled if pos[0] == i))
+        value = value * row_term(T.rank, i, row, crit, n)[0]
+    return value
 
 
 def _accumulate(acc, rank, rows, crit, n):
-    """Add one pattern's contribution into the coefficient accumulator."""
-    for i, j in crit:
-        if rows[i - 1][j - i] == 0:
-            return
-    circled = set(crit)
+    """Add one pattern's contribution into the coefficient accumulator.
+
+    ``crit`` holds one tuple of circled positions per row.
+    """
     unit = _one(n)
     factors = []
-    lam_sum = 0
     lam = [0] * rank
     for i, row in enumerate(rows, start=1):
-        components, probes, delta = _row_analysis(rank, i, row)
-        for pos in probes:
-            if pos in circled:
-                return
+        factor, delta = row_term(rank, i, row, crit[i - 1], n)
+        if factor is None or factor.is_zero:
+            return
+        if factor is not unit:
+            factors.append(factor)
         for k in range(rank):
             lam[k] += delta[k]
-        for comp in components:
-            factor = sigma_component(comp, circled, n)
-            if factor.is_zero:
-                return
-            if factor is not unit:
-                factors.append(factor)
     value = _p_pow(sum(lam), n)
     for factor in factors:
         value = value * factor
@@ -206,7 +228,7 @@ def _chunk_worker(args):
     acc: dict = {}
     for row, crit, s, t1, t2 in units:
         for rest_rows, rest_crit in _complete(rank, m, lam, 2, s, t1, t2):
-            _accumulate(acc, rank, (row,) + rest_rows, crit + rest_crit, n)
+            _accumulate(acc, rank, (row,) + rest_rows, (crit,) + rest_crit, n)
     return acc
 
 
@@ -219,19 +241,22 @@ def local_part(
 ) -> LocalPart:
     """Assemble the local part by summing over strict patterns.
 
-    ``weight`` restricts the computation to a single coefficient.  ``jobs``
-    of 0 or 1 runs sequentially; larger values shard the completions of
-    each first row across processes.  The result is independent of the
+    ``weight`` restricts the computation to a single coefficient.  Every
+    first-row fill is completed by ``_chunk_worker``: ``jobs`` of 0 or 1
+    runs all of them as one chunk in this process, larger values shard
+    them into chunks across processes.  The result is independent of the
     schedule: coefficients are exact and addition commutes.
     """
     if n < 1:
         raise ValueError(f"cover degree n must be >= 1, got {n}")
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     lam = _check_args(rs, hw, weight)
     r, m = rs.rank, hw.m
-    acc: dict[tuple[int, ...], RingElem] = {}
-    if jobs and jobs > 1 and r >= 3:
-        units = _row_fills(r, m, 1, (0,) * (r - 2), 0, 0, lam)
-        units.sort(key=lambda f: f[0])
+    units = _row_fills(r, m, 1, (0,) * (r - 2), 0, 0, lam)
+    units.sort(key=lambda f: f[0])
+    if jobs > 1:
+        acc: dict[tuple[int, ...], RingElem] = {}
         chunks = [units[k :: 4 * jobs] for k in range(4 * jobs)]
         payload = [(r, m, n, lam, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -240,7 +265,6 @@ def local_part(
                     prev = acc.get(key)
                     acc[key] = value if prev is None else prev + value
     else:
-        for rows, crit in _complete(r, m, lam, 1, (0,) * (r - 2), 0, 0):
-            _accumulate(acc, r, rows, crit, n)
+        acc = _chunk_worker((r, m, n, lam, units))
     coeffs = {key: value for key, value in acc.items() if not value.is_zero}
     return LocalPart(rank=r, n=n, twist=hw.twist, coefficients=coeffs)

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .coeff_ring import RingElem, gauss_symbol
-from .decoration import _strictness_failure
+from .decoration import _strictness_failure, strictness_counts
 from .local_part import LocalPart, local_part, pattern_contribution, sigma_entry
 from .pattern import count_patterns, enumerate_decorated, weight_vector
-from .root_data import HighestWeight, build_root_system, tokuyama_product, weyl_dimension
+from .root_data import HighestWeight, RootSystemD, build_root_system, weyl_dimension
 
 
 @dataclass
@@ -126,6 +126,30 @@ def kubota_brute(l: int, n: int) -> LocalPart:
     return LocalPart(rank=1, n=n, twist=(l,), coefficients=coeffs)
 
 
+def tokuyama_product(rs: RootSystemD) -> LocalPart:
+    """Expand prod over positive roots of (1 - p^(d(alpha)-1) x^alpha).
+
+    Returns the untwisted n = 1 generating function as a LocalPart whose
+    coefficients are plain Laurent polynomials in p.
+    """
+    r = rs.rank
+    coeffs: dict[tuple[int, ...], RingElem] = {(0,) * r: RingElem.one(1)}
+    for root in rs.positive_roots:
+        factor = -RingElem.p_power(sum(root) - 1, 1)
+        updated = dict(coeffs)
+        for lam, value in coeffs.items():
+            shifted = tuple(a + b for a, b in zip(lam, root))
+            add = value * factor
+            if shifted in updated:
+                add = updated[shifted] + add
+            if add.is_zero:
+                updated.pop(shifted, None)
+            else:
+                updated[shifted] = add
+        coeffs = updated
+    return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)
+
+
 def check_dimension(
     max_rank: int = 4,
     max_twist: int = 2,
@@ -163,19 +187,10 @@ def check_tokuyama(max_rank: int = 4) -> VerificationReport:
         )
         if r == 4:
             report.add("D4 untwisted n=1: support size", 601, len(computed.coefficients))
-            total, nonstrict = _class_counts(rs, hw)
+            total, nonstrict = strictness_counts(rs, hw)
             report.add("D4 untwisted: total patterns", 4096, total)
             report.add("D4 untwisted: nonstrict patterns", 2216, nonstrict)
     return report
-
-
-def _class_counts(rs, hw, weight=None) -> tuple[int, int]:
-    total = nonstrict = 0
-    for T, crit in enumerate_decorated(rs, hw, weight):
-        total += 1
-        if _strictness_failure(T, crit) is not None:
-            nonstrict += 1
-    return total, nonstrict
 
 
 def _first_diff(a: LocalPart, b: LocalPart) -> str:

@@ -239,21 +239,24 @@ def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Pos
     )
 
 
+def row_weight(rank: int, i: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """Row i's share of ``weight_vector``."""
+    r = rank
+    delta = [0] * r
+    delta[0], delta[1] = row[r - 1 - i], row[r - i]
+    for c in range(i, r - 1):  # column c feeds coordinate k = r+1-c
+        delta[r - c] = row[c - i] + row[2 * r - 1 - c - i]
+    return tuple(delta)
+
+
 def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
     """The exponent vector this pattern contributes to.
 
     Coordinates 1 and 2 are the column sums of the two middle columns; the
     k-th coordinate for k >= 3 is the paired sum of column r+1-k.
     """
-    r = T.rank
-    lam = [0] * r
-    for i in range(1, r):
-        lam[0] += T.entry(i, r - 1)
-        lam[1] += T.entry(i, r)
-    for k in range(3, r + 1):
-        c = r + 1 - k
-        lam[k - 1] = sum(T.entry(i, c) + T.bar(i, c) for i in range(1, c + 1))
-    return tuple(lam)
+    deltas = (row_weight(T.rank, i, row) for i, row in enumerate(T.rows, start=1))
+    return tuple(map(sum, zip(*deltas)))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -396,7 +399,7 @@ def _row_fills(r, m, i, s, t1, t2, lam):
 
 
 def _complete(r, m, lam, i, s, t1, t2):
-    """Yield (rows, crit) over all completions starting at row i, sorted."""
+    """Yield (rows, per-row crit tuples) over all completions from row i, sorted."""
     if i == r:
         yield (), ()
         return
@@ -404,7 +407,7 @@ def _complete(r, m, lam, i, s, t1, t2):
     fills.sort(key=lambda f: f[0])
     for row, crit, s2, t1n, t2n in fills:
         for rest_rows, rest_crit in _complete(r, m, lam, i + 1, s2, t1n, t2n):
-            yield (row,) + rest_rows, crit + rest_crit
+            yield (row,) + rest_rows, (crit,) + rest_crit
 
 
 def _check_args(rs: RootSystemD, hw: HighestWeight, weight_filter):
@@ -428,7 +431,8 @@ def enumerate_decorated(
     weight_filter = _check_args(rs, hw, weight_filter)
     r = rs.rank
     for rows, crit in _complete(r, hw.m, weight_filter, 1, (0,) * (r - 2), 0, 0):
-        yield LittelmannPattern(rank=r, rows=rows), frozenset(crit)
+        circled = frozenset(pos for row_crit in crit for pos in row_crit)
+        yield LittelmannPattern(rank=r, rows=rows), circled
 
 
 def enumerate_patterns(

@@ -30,9 +30,6 @@ class RootSystemD:
     positive_roots: tuple[tuple[int, ...], ...]
     cartan: tuple[tuple[int, ...], ...]
 
-    def height(self, root: tuple[int, ...]) -> int:
-        return sum(root)
-
 
 @dataclass(frozen=True)
 class HighestWeight:
@@ -147,29 +144,3 @@ def weyl_dimension(rs: RootSystemD, hw: HighestWeight) -> int:
     assert num % den == 0, "Weyl dimension must be an integer"
     return num // den
 
-
-def tokuyama_product(rs: RootSystemD):
-    """Expand prod over positive roots of (1 - p^(d(alpha)-1) x^alpha).
-
-    Returns the untwisted n = 1 generating function as a LocalPart whose
-    coefficients are plain Laurent polynomials in p.
-    """
-    from .coeff_ring import RingElem
-    from .local_part import LocalPart
-
-    r = rs.rank
-    coeffs: dict[tuple[int, ...], RingElem] = {(0,) * r: RingElem.one(1)}
-    for root in rs.positive_roots:
-        factor = -RingElem.p_power(sum(root) - 1, 1)
-        updated = dict(coeffs)
-        for lam, value in coeffs.items():
-            shifted = tuple(a + b for a, b in zip(lam, root))
-            add = value * factor
-            if shifted in updated:
-                add = updated[shifted] + add
-            if add.is_zero:
-                updated.pop(shifted, None)
-            else:
-                updated[shifted] = add
-        coeffs = updated
-    return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)

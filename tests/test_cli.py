@@ -2,7 +2,17 @@
 
 import json
 
+import pytest
+
+from dlocal import (
+    HighestWeight,
+    build_root_system,
+    enumerate_decorated,
+    pattern_contribution,
+    weight_vector,
+)
 from dlocal.cli import main
+from dlocal.decoration import _strictness_failure
 
 
 def run(capsys, *argv):
@@ -148,6 +158,29 @@ class TestExplain:
         assert "circled zero" in out
         assert "excluded" in out
 
+    def test_contribution_is_pattern_contribution(self, capsys):
+        # The two contributing patterns of the published weight class.
+        rs = build_root_system(4)
+        hw = HighestWeight.from_twist((0, 1, 2, 0))
+        contributing = [
+            T
+            for T, crit in enumerate_decorated(rs, hw, (10, 10, 17, 10))
+            if _strictness_failure(T, crit) is None
+            and not pattern_contribution(T, hw, 2).is_zero
+        ]
+        assert len(contributing) == 2
+        for T in contributing:
+            code, out, _ = run(
+                capsys,
+                "explain", "--pattern", T.to_string(), "--twist", "0,1,2,0", "--n", "2",
+            )
+            assert code == 0
+            expected = (
+                f"contribution: p^{sum(weight_vector(T))} * product = "
+                f"{pattern_contribution(T, hw, 2)}"
+            )
+            assert expected in out.splitlines()
+
     def test_rank_cross_check(self, capsys):
         code, _, err = run(
             capsys,
@@ -198,6 +231,21 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in out
 
+    def test_tokuyama_max_rank_reaches_suite(self, capsys, monkeypatch):
+        from dlocal import cli
+        from dlocal.oracle import VerificationReport
+
+        ranks = []
+
+        def recording(max_rank):
+            ranks.append(max_rank)
+            return VerificationReport("tokuyama")
+
+        monkeypatch.setattr(cli, "check_tokuyama", recording)
+        code, _, _ = run(capsys, "verify", "--suite", "tokuyama", "--max-rank", "5")
+        assert code == 0
+        assert ranks == [5]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "nope"])
         capsys.readouterr()
@@ -208,3 +256,47 @@ def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["compute", "--rank", "2", "--n", "0", "--twist", "0,0"], id="n-zero"),
+        pytest.param(["compute", "--rank", "1", "--n", "1", "--twist", "0"], id="rank-one"),
+        pytest.param(["patterns", "--rank", "1", "--twist", "0"], id="patterns-rank-one"),
+        pytest.param(
+            ["explain", "--pattern", "1,0", "--twist", "1,1", "--n", "0"], id="explain-n-zero"
+        ),
+        pytest.param(
+            ["compute", "--rank", "3", "--n", "1", "--twist", "0,0,0", "--coeff=-1,0,0"],
+            id="negative-coeff",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--output", "/nonexistent/x"],
+            id="unwritable-output",
+        ),
+        pytest.param(
+            ["verify", "--suite", "example2", "--output", "/nonexistent/x"],
+            id="verify-unwritable-output",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--jobs", "-1"],
+            id="negative-jobs",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--eval-p", "2",
+             "--format", "json"],
+            id="eval-p-json",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--eval-p", "2",
+             "--coeff", "0,0"],
+            id="eval-p-coeff",
+        ),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""

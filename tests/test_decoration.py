@@ -6,7 +6,6 @@ from dlocal import (
     HighestWeight,
     LittelmannPattern,
     build_root_system,
-    classify_components,
     component_structure,
     critical_positions,
     decorate,
@@ -177,9 +176,9 @@ class TestDecorate:
         with pytest.raises(ValueError, match="exceeds its bound"):
             decorate(T, HighestWeight((1, 1)))
 
-    def test_classify_components_on_graph(self):
+    def test_component_structure_of_decorated_pattern(self):
         T = make_pattern((2, 2, 2, 2), (1, 0))
-        comps = classify_components(decorate(T, big_weight(3)))
+        comps = component_structure(decorate(T, big_weight(3)).pattern)
         assert [c.kind for c in comps if c.row == 1] == [ML_SYMMETRIC]
 
 
@@ -189,6 +188,13 @@ class TestStrictness:
         hw = HighestWeight((1, 1, 1, 1))
         T = LittelmannPattern(4, ((0,) * 6, (0,) * 4, (0,) * 2))
         assert is_strict(T, hw)
+
+    def test_first_circled_zero_in_row_order_is_reported(self):
+        hw = HighestWeight((1, 1, 1))
+        T = make_pattern((1, 1, 1, 0), (0, 0))
+        assert {(2, 2), (2, 3)} <= critical_positions(T, hw)
+        failure = _strictness_failure(T, critical_positions(T, hw))
+        assert failure == "circled zero at row 2, column 2"
 
     def test_circled_zero_is_nonstrict(self):
         # The first row pushes the bound of a_{2,2} down to 0, so the zero

@@ -16,6 +16,7 @@ from dlocal import (
     sigma_component,
     sigma_entry,
     tokuyama_product,
+    weight_vector,
 )
 from dlocal.decoration import ML_SYMMETRIC, _strictness_failure, component_structure
 
@@ -137,6 +138,28 @@ class TestPatternContribution:
         assert sorted(map(str, nonzero)) == sorted(map(str, displayed))
 
 
+class TestRowRule:
+    @pytest.mark.parametrize(
+        "twist, n",
+        [((1, 0, 2), n) for n in (1, 2, 3)]
+        + [((2, 1, 2), n) for n in (1, 2, 3)]
+        + [((0, 0, 0, 0), 2)],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else f"n{v}",
+    )
+    def test_local_part_is_sum_of_pattern_contributions(self, twist, n):
+        rs = build_root_system(len(twist))
+        hw = HighestWeight.from_twist(twist)
+        expected = {}
+        for T, crit in enumerate_decorated(rs, hw):
+            if _strictness_failure(T, crit) is None:
+                lam = weight_vector(T)
+                expected[lam] = expected.get(lam, RingElem.zero(n)) + pattern_contribution(
+                    T, hw, n
+                )
+        expected = {lam: value for lam, value in expected.items() if not value.is_zero}
+        assert local_part(rs, hw, n).coefficients == expected
+
+
 class TestLocalPart:
     def test_published_twisted_coefficient(self):
         rs = build_root_system(4)
@@ -199,12 +222,13 @@ class TestLocalPart:
 
 class TestDeterminism:
     def test_parallel_equals_sequential(self):
-        rs = build_root_system(3)
-        hw = HighestWeight((2, 2, 2))
-        seq = local_part(rs, hw, n=2)
-        for jobs in (2, 3):
-            par = local_part(rs, hw, n=2, jobs=jobs)
-            assert par.to_json_str() == seq.to_json_str()
+        for m in ((3, 2), (2, 2, 2)):
+            rs = build_root_system(len(m))
+            hw = HighestWeight(m)
+            seq = local_part(rs, hw, n=2)
+            for jobs in (2, 3):
+                par = local_part(rs, hw, n=2, jobs=jobs)
+                assert par.to_json_str() == seq.to_json_str()
 
     def test_json_is_canonical(self):
         rs = build_root_system(2)
