@@ -150,19 +150,29 @@ def tokuyama_product(rs: RootSystemD) -> LocalPart:
     return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)
 
 
+def _check_max_rank(max_rank: int) -> None:
+    # A grid without rank 2 has no cases, and an empty report would pass.
+    if max_rank < 2:
+        raise ValueError(f"max rank must be >= 2, got {max_rank}")
+
+
 def check_dimension(
     max_rank: int = 4,
     max_twist: int = 2,
     extra_cases: tuple = ((5, (0, 0, 0, 0, 0)),),
 ) -> VerificationReport:
-    """Pattern count == Weyl dimension over the whole twist grid."""
+    """Pattern count == Weyl dimension over the whole twist grid.
+
+    ``extra_cases`` already in the grid are not run a second time.
+    """
+    _check_max_rank(max_rank)
     report = VerificationReport("dimension")
     grid = [
         (r, twist)
         for r in range(2, max_rank + 1)
         for twist in product(range(max_twist + 1), repeat=r)
     ]
-    grid.extend(extra_cases)
+    grid.extend(case for case in extra_cases if case not in grid)
     for r, twist in grid:
         rs = build_root_system(r)
         hw = HighestWeight.from_twist(twist)
@@ -174,6 +184,7 @@ def check_dimension(
 
 def check_tokuyama(max_rank: int = 4) -> VerificationReport:
     """Untwisted n = 1 local part == deformed product over positive roots."""
+    _check_max_rank(max_rank)
     report = VerificationReport("tokuyama")
     for r in range(2, max_rank + 1):
         rs = build_root_system(r)

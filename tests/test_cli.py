@@ -208,6 +208,15 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_dimension_runs_d5_once(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--suite", "dimension", "--max-rank", "5", "--max-twist", "0",
+        )
+        assert code == 0
+        assert "suite dimension: 4/4 cases passed" in out
+        assert out.count("D5 twist (0, 0, 0, 0, 0)") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "example2", "--format", "json"
@@ -292,6 +301,10 @@ def test_missing_subcommand_is_usage_error(capsys):
             ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--eval-p", "2",
              "--coeff", "0,0"],
             id="eval-p-coeff",
+        ),
+        pytest.param(["verify", "--suite", "tokuyama", "--max-rank", "1"], id="tokuyama-rank-one"),
+        pytest.param(
+            ["verify", "--suite", "dimension", "--max-rank", "1"], id="dimension-rank-one"
         ),
     ],
 )

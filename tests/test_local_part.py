@@ -1,5 +1,6 @@
 """Standard contributions and assembly of local parts."""
 
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,16 @@ class TestPatternContribution:
         assert sorted(map(str, nonzero)) == sorted(map(str, displayed))
 
 
+def _strict_pattern_sum(rs, hw, n, weight=None):
+    """Sum of pattern_contribution over the strict patterns, by weight."""
+    total = {}
+    for T, crit in enumerate_decorated(rs, hw, weight):
+        if _strictness_failure(T, crit) is None:
+            lam = weight_vector(T)
+            total[lam] = total.get(lam, RingElem.zero(n)) + pattern_contribution(T, hw, n)
+    return {lam: value for lam, value in total.items() if not value.is_zero}
+
+
 class TestRowRule:
     @pytest.mark.parametrize(
         "twist, n",
@@ -149,15 +160,41 @@ class TestRowRule:
     def test_local_part_is_sum_of_pattern_contributions(self, twist, n):
         rs = build_root_system(len(twist))
         hw = HighestWeight.from_twist(twist)
-        expected = {}
-        for T, crit in enumerate_decorated(rs, hw):
-            if _strictness_failure(T, crit) is None:
-                lam = weight_vector(T)
-                expected[lam] = expected.get(lam, RingElem.zero(n)) + pattern_contribution(
-                    T, hw, n
-                )
-        expected = {lam: value for lam, value in expected.items() if not value.is_zero}
-        assert local_part(rs, hw, n).coefficients == expected
+        assert local_part(rs, hw, n).coefficients == _strict_pattern_sum(rs, hw, n)
+
+
+class TestAssembly:
+    """The state-by-state assembly against the pattern-by-pattern sum."""
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_twisted_rank4_json_is_pinned(self, jobs):
+        # sha256 of the JSON that summing pattern by pattern produced.
+        rs = build_root_system(4)
+        hw = HighestWeight.from_twist((0, 1, 2, 0))
+        text = local_part(rs, hw, n=2, jobs=jobs).to_json_str()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "266ef385423f334de462d779d4e1383c5096e00c26ef9515b93f1df744aa2840"
+        )
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            (0, 0, 0, 0, 0),
+            (1, 1, 3, 4, 2),  # the first weight where n = 1 misses the root product
+            (4, 4, 8, 9, 5),
+            (7, 7, 14, 10, 7),
+            (4, 6, 9, 7, 3),
+            (10, 10, 18, 14, 8),
+        ],
+        ids=lambda lam: ",".join(map(str, lam)),
+    )
+    def test_rank5_weight_equals_pattern_sum(self, lam, n):
+        rs = build_root_system(5)
+        hw = HighestWeight.from_twist((0,) * 5)
+        expected = _strict_pattern_sum(rs, hw, n, lam)
+        assert expected  # every chosen weight has a nonzero coefficient
+        assert local_part(rs, hw, n, weight=lam).coefficients == expected
 
 
 class TestLocalPart:
@@ -207,12 +244,16 @@ class TestLocalPart:
             assert all(v <= mx for v, mx in zip(lam, lam_max))
 
     def test_weight_filter_matches_full_assembly(self):
+        # Every weight of the support, and one outside it, where it is zero.
         rs = build_root_system(3)
-        hw = HighestWeight((2, 1, 2))
-        full = local_part(rs, hw, n=2)
-        for lam in list(full.coefficients)[:10]:
-            restricted = local_part(rs, hw, n=2, weight=lam)
-            assert restricted.coefficients == {lam: full.coefficients[lam]}
+        for twist in ((1, 0, 1), (1, 0, 2), (2, 1, 2)):
+            hw = HighestWeight.from_twist(twist)
+            for n in (1, 2, 3):
+                full = local_part(rs, hw, n)
+                for lam, value in full.coefficients.items():
+                    assert local_part(rs, hw, n, weight=lam).coefficients == {lam: value}
+                outside = tuple(v + 1 for v in max(full.coefficients))
+                assert local_part(rs, hw, n, weight=outside).coefficients == {}
 
     def test_rejects_bad_cover_degree(self):
         rs = build_root_system(2)
