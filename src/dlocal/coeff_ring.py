@@ -13,12 +13,51 @@ canonical forms is exact equality in the ring.  For n = 1 the g-exponent
 vector is empty and elements are plain Laurent polynomials in p.
 
 Instances are immutable by convention: every operation returns a fresh
-element and nothing mutates ``terms`` after construction.
+element and nothing mutates ``terms`` after construction.  The ring
+operations share one kernel, ``_mul_add(out, a, b)``, which adds the
+product of two canonical term dicts into a private dict ``out`` in place
+and keeps ``out`` canonical as it goes: a coefficient that reaches 0 is
+deleted, and so is a polynomial left empty.  Its results are wrapped by
+the private constructor ``RingElem._wrap``, which skips the checks and the
+re-canonicalization of ``__init__``; those stay for elements built from
+outside (user code, ``from_json_obj``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
+
+
+def _mul_add(out, a, b) -> None:
+    """out += a * b on canonical term dicts, keeping ``out`` canonical.
+
+    ``out`` is mutated and must be private to the caller: neither ``a`` nor
+    ``b``, nor the terms of an element anyone else holds.
+    """
+    for g1, poly1 in a.items():
+        for g2, poly2 in b.items():
+            g = tuple(map(add, g1, g2))
+            acc = out.get(g)
+            if acc is None:
+                acc = out[g] = {}
+            for e2, c2 in poly2.items():
+                for e1, c1 in poly1.items():
+                    e = e1 + e2
+                    c = acc.get(e, 0) + c1 * c2
+                    if c:
+                        acc[e] = c
+                    else:
+                        del acc[e]
+            if not acc:
+                del out[g]
+
+
+@lru_cache(maxsize=None)
+def _unit_terms(n: int):
+    """The terms of 1; shared, so never passed as ``out``."""
+    return {(0,) * (n - 1): {0: 1}}
 
 
 class RingElem:
@@ -39,6 +78,14 @@ class RingElem:
                 canonical[gmono] = cleaned
         self.n = n
         self.terms = canonical
+
+    @classmethod
+    def _wrap(cls, n: int, terms) -> "RingElem":
+        """An element owning ``terms``, which must be canonical; no checks, no copy."""
+        elem = object.__new__(cls)
+        elem.n = n
+        elem.terms = terms
+        return elem
 
     # -- constructors ------------------------------------------------------
 
@@ -75,16 +122,13 @@ class RingElem:
         if other is NotImplemented:
             return NotImplemented
         out = {g: dict(poly) for g, poly in self.terms.items()}
-        for g, poly in other.terms.items():
-            acc = out.setdefault(g, {})
-            for e, c in poly.items():
-                acc[e] = acc.get(e, 0) + c
-        return RingElem(self.n, out)
+        _mul_add(out, other.terms, _unit_terms(self.n))
+        return RingElem._wrap(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElem":
-        return RingElem(
+        return RingElem._wrap(
             self.n, {g: {e: -c for e, c in poly.items()} for g, poly in self.terms.items()}
         )
 
@@ -102,15 +146,8 @@ class RingElem:
         if other is NotImplemented:
             return NotImplemented
         out: dict[tuple[int, ...], dict[int, int]] = {}
-        for g1, poly1 in self.terms.items():
-            for g2, poly2 in other.terms.items():
-                g = tuple(a + b for a, b in zip(g1, g2))
-                acc = out.setdefault(g, {})
-                for e1, c1 in poly1.items():
-                    for e2, c2 in poly2.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        return RingElem(self.n, out)
+        _mul_add(out, self.terms, other.terms)
+        return RingElem._wrap(self.n, out)
 
     __rmul__ = __mul__
 

@@ -37,15 +37,18 @@ it), so a single coefficient and the full local part run the same code.
 
 The state memo is a local dict, fresh per call and per pool chunk, so it
 is freed when the chunk ends and nothing carries over between calls.
-With ``jobs > 1`` the first-row fills are still split into 4*jobs chunks
-over a process pool.  On 2 cores, for D4, twist (0,1,2,0), n=2, the pool
-with jobs=2 hardly saves wall time any more (0.34 s against 0.38 s in one
-process), but it keeps the memos and row terms out of this process: run
-in one process instead, the same call peaked at 32.1 MB RSS against
-27.6 MB.
+With ``jobs > 1`` the sorted first-row fills are cut into ``jobs``
+contiguous chunks over a process pool.  Neighbouring fills share most of
+their states, so contiguous chunks rebuild few of each other's states:
+for D4, twist (0,1,2,0), n=2, the two chunks of jobs=2 build 169 and 178
+states where one memo builds 247.  The pool keeps the memos and row terms
+out of this process, whose peak memory would otherwise grow.
 
 The row terms, sigma values and small p-powers are cached and shared;
-nothing ever mutates a RingElem, so sharing is safe.
+nothing ever mutates a RingElem, so sharing is safe.  A state's sums are
+accumulated in private term dicts by the ring's multiply-add kernel and
+each is wrapped in a RingElem once, when the state is done; the dicts are
+never shared before that and never mutated after.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from functools import lru_cache
 from operator import add
 from typing import Optional
 
-from .coeff_ring import RingElem, gauss_symbol
+from .coeff_ring import RingElem, _mul_add, gauss_symbol
 from .decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
@@ -225,21 +228,22 @@ def _extend(r, m, n, lam, i, fills, memo):
     A fill whose row makes the pattern nonstrict or whose factor is zero
     is dropped; every other fill scales the completions of the state it
     leads to by its factor and shifts their weights by its delta.  The
-    weights are those of rows i..r-1 only.
+    weights are those of rows i..r-1 only; weights whose sum cancels to
+    zero are left out.  The sums are built in private term dicts, one
+    multiply-add per (fill, completion), and wrapped once at the end.
     """
-    unit = _one(n)
-    out: dict[tuple[int, ...], RingElem] = {}
+    acc: dict[tuple[int, ...], dict] = {}
     for row, crit, s, t1, t2 in fills:
         factor, delta = row_term(r, i, row, crit, n)
         if factor is None or factor.is_zero:
             continue
         for wt, value in _completions(r, m, n, lam, i + 1, s, t1, t2, memo).items():
-            if factor is not unit:
-                value = value * factor
             wt = tuple(map(add, wt, delta))
-            prev = out.get(wt)
-            out[wt] = value if prev is None else prev + value
-    return out
+            terms = acc.get(wt)
+            if terms is None:
+                terms = acc[wt] = {}
+            _mul_add(terms, value.terms, factor.terms)
+    return {wt: RingElem._wrap(n, terms) for wt, terms in acc.items() if terms}
 
 
 def _completions(r, m, n, lam, i, s, t1, t2, memo):
@@ -277,9 +281,10 @@ def local_part(
     first-row fill is completed by ``_chunk_worker`` through the memoized
     state sums of ``_completions``, with a fresh memo per chunk: ``jobs``
     of 0 or 1 runs all fills as one chunk in this process, larger values
-    shard them into 4*jobs chunks across processes, which keeps the memos
-    out of this process.  The result is independent of the schedule:
-    coefficients are exact, and addition and multiplication commute.
+    cut the sorted fills into ``jobs`` contiguous chunks, one per worker
+    process, which keeps the memos out of this process.  The result is
+    independent of the schedule: coefficients are exact, and addition and
+    multiplication commute.
     """
     if n < 1:
         raise ValueError(f"cover degree n must be >= 1, got {n}")
@@ -291,7 +296,8 @@ def local_part(
     units.sort(key=lambda f: f[0])
     if jobs > 1:
         acc: dict[tuple[int, ...], RingElem] = {}
-        chunks = [units[k :: 4 * jobs] for k in range(4 * jobs)]
+        cuts = [len(units) * k // jobs for k in range(jobs + 1)]
+        chunks = [units[a:b] for a, b in zip(cuts, cuts[1:])]
         payload = [(r, m, n, lam, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for partial in pool.map(_chunk_worker, payload):

@@ -156,6 +156,12 @@ def _check_max_rank(max_rank: int) -> None:
         raise ValueError(f"max rank must be >= 2, got {max_rank}")
 
 
+def _check_max_twist(max_twist: int) -> None:
+    # A negative bound empties the twist grid, and an empty grid would pass.
+    if max_twist < 0:
+        raise ValueError(f"max twist must be >= 0, got {max_twist}")
+
+
 def check_dimension(
     max_rank: int = 4,
     max_twist: int = 2,
@@ -166,6 +172,7 @@ def check_dimension(
     ``extra_cases`` already in the grid are not run a second time.
     """
     _check_max_rank(max_rank)
+    _check_max_twist(max_twist)
     report = VerificationReport("dimension")
     grid = [
         (r, twist)
@@ -220,6 +227,9 @@ def check_rank2(
     brute_max_n: int = 6,
 ) -> VerificationReport:
     """D_2 local parts factor into Kubota polynomials, twists crossed."""
+    _check_max_twist(max_twist)
+    if max_n < 1:
+        raise ValueError(f"max n must be >= 1, got {max_n}")
     report = VerificationReport("rank2")
     rs = build_root_system(2)
     for l1, l2, n in product(range(max_twist + 1), range(max_twist + 1), range(1, max_n + 1)):

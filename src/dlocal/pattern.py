@@ -262,140 +262,146 @@ def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
 # -- enumeration --------------------------------------------------------------
 
 
+_NO_CAP = 1 << 62  # the cap of every column when no target weight is given
+
+
 def _row_fills(r, m, i, s, t1, t2, lam):
-    """Yield (row, crit, new_s, new_t1, new_t2) over all valid fills of row i.
+    """Return (row, crit, new_s, new_t1, new_t2) for every valid fill of row i.
 
     ``s`` carries S(c, i-1) at index c-1; entries for columns c < i-1 are
     never read.  ``lam`` is an optional target weight: when set, column
     capacities prune the fill and the last row contributing to a column is
     forced to land exactly on the target.
+
+    Entries are placed right to left as the module docstring describes,
+    into ``vals`` (vals[c-i] = a_{i,c}); ``crit`` lists the critical
+    positions in placement order.  A bound is met only by the largest value
+    of its range, so each loop runs the uncritical values and then the
+    critical one.
     """
-    smid = t1 + t2
-    nbar = r - 1 - i  # number of bar boxes in this row
-
-    def sget(c):
-        return s[c - 1] if c >= 1 else 0
-
-    bars = {}  # bar index j -> value
-    results = []
-    crit: list[tuple[int, int]] = []
-
-    def fill_bars(j):
-        if j > r - 2:
-            fill_mid_top()
-            return
-        low = bars[j - 1] if j - 1 >= i else 0
-        high = (
-            m[r - j]
-            + (bars[j - 1] if j - 1 >= i else 0)
-            + sget(j - 1)
-            - 2 * sget(j)
-            + (sget(j + 1) if j + 1 <= r - 2 else smid)
-        )
-        bound = high
-        if lam is not None:
-            high = min(high, lam[r - j] - sget(j))
-        for v in range(low, high + 1):
-            bars[j] = v
-            if v == bound:
-                crit.append((i, 2 * r - 1 - j))
-                fill_bars(j + 1)
-                crit.pop()
-            else:
-                fill_bars(j + 1)
-        bars.pop(j, None)
-
-    def fill_mid_top():
-        low = bars[r - 2] if i <= r - 2 else 0
-        bound = m[1] + (bars[r - 2] if i <= r - 2 else 0) + sget(r - 2) - 2 * t1
-        high = bound
-        if lam is not None:
-            cap = lam[0] - t1
-            if i == r - 1:
-                if not (low <= cap <= bound):
-                    return
-                low = high = cap
-            else:
-                high = min(high, cap)
-        for v in range(low, high + 1):
-            if v == bound:
-                crit.append((i, r - 1))
-                fill_mid_bot(v)
-                crit.pop()
-            else:
-                fill_mid_bot(v)
-
-    def fill_mid_bot(top):
-        low = bars[r - 2] if i <= r - 2 else 0
-        bound = m[0] + (bars[r - 2] if i <= r - 2 else 0) + sget(r - 2) - 2 * t2
-        high = bound
-        if lam is not None:
-            cap = lam[1] - t2
-            if i == r - 1:
-                if not (low <= cap <= bound):
-                    return
-                low = high = cap
-            else:
-                high = min(high, cap)
-        for v in range(low, high + 1):
-            if v == bound:
-                crit.append((i, r))
-                fill_left(r - 2, top, v, {})
-                crit.pop()
-            else:
-                fill_left(r - 2, top, v, {})
-
-    def fill_left(j, top, bot, lefts):
-        if j < i:
-            emit(top, bot, lefts)
-            return
-        low = max(top, bot) if j == r - 2 else lefts[j + 1]
-        if j + 1 <= r - 2:
-            right = sget(j + 1) + lefts[j + 1] + bars[j + 1]
+    last = r - 2  # index of the innermost bar, and column of the first left entry
+    S = (0,) + s  # S[c] = S(c, i-1)
+    out = []
+    if i > last:  # the last row holds only the middle pair
+        top_bound = m[1] + S[last] - 2 * t1
+        bot_bound = m[0] + S[last] - 2 * t2
+        if lam is None:
+            tops, bots = range(top_bound + 1), range(bot_bound + 1)
         else:
-            right = smid + top + bot
-        bound = (
-            m[r - j]
-            + right
-            - 2 * (bars[j] + sget(j))
-            + (bars[j - 1] if j - 1 >= i else 0)
-            + sget(j - 1)
-        )
-        high = bound
-        if lam is not None:
-            cap = lam[r - j] - sget(j) - bars[j]
-            if i == j:
-                if not (low <= cap <= bound):
-                    return
-                low = high = cap
-            else:
-                high = min(high, cap)
-        for v in range(low, high + 1):
-            lefts[j] = v
-            if v == bound:
-                crit.append((i, j))
-                fill_left(j - 1, top, bot, lefts)
+            top, bot = lam[0] - t1, lam[1] - t2
+            tops = (top,) if 0 <= top <= top_bound else ()
+            bots = (bot,) if 0 <= bot <= bot_bound else ()
+        for top in tops:
+            top_crit = ((i, r - 1),) if top == top_bound else ()
+            for bot in bots:
+                crit = top_crit + ((i, r),) if bot == bot_bound else top_crit
+                out.append(((top, bot), crit, s, t1 + top, t2 + bot))
+        return out
+
+    exact = lam is not None
+    smid = t1 + t2
+    # base[j] + bar(i, j-1) is the bound of bar(i, j), and base[j] - 2 bar(i, j)
+    # + bar(i, j-1) + (a_{i,j+1} + bar(i, j+1), or the middle pair for j = last)
+    # is the bound of a_{i,j}.  cap[j] is what the target leaves for column j:
+    # it caps bar(i, j), and cap[j] - bar(i, j) caps a_{i,j}.
+    base = [0] * (last + 1)
+    cap = [_NO_CAP] * (last + 1)
+    for j in range(i, last + 1):
+        base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else smid)
+        if exact:
+            cap[j] = lam[r - j] - S[j]
+    top_base = m[1] + S[last] - 2 * t1
+    bot_base = m[0] + S[last] - 2 * t2
+    top_cap = lam[0] - t1 if exact else _NO_CAP
+    bot_cap = lam[1] - t2 if exact else _NO_CAP
+    flip = 2 * r - 1 - i  # bar(i, j) sits at vals[flip - j]
+    mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
+    vals = [0] * (2 * (r - i))
+    sums = list(s)  # sums[c-1] = S(c, i) once column c of this row is placed
+    crit = []
+
+    def fill_bars(j, prev):
+        if j > last:
+            fill_mid(prev)
+            return
+        bound = base[j] + prev
+        high = cap[j] if cap[j] < bound else bound
+        k = flip - j
+        for v in range(prev, high + 1 if high < bound else bound):
+            vals[k] = v
+            fill_bars(j + 1, v)
+        if high == bound >= prev:
+            vals[k] = bound
+            crit.append((i, k + i))
+            fill_bars(j + 1, bound)
+            crit.pop()
+
+    def fill_mid(low):
+        top_bound = top_base + low
+        bot_bound = bot_base + low
+        top_high = min(top_bound, top_cap)
+        bot_high = min(bot_bound, bot_cap)
+        for top in range(low, top_high + 1):
+            vals[mid] = top
+            if top == top_bound:
+                crit.append((i, r - 1))
+            for bot in range(low, bot_high + 1):
+                vals[mid + 1] = bot
+                floor = top if top > bot else bot
+                if bot == bot_bound:
+                    crit.append((i, r))
+                    fill_left(last, floor, top + bot)
+                    crit.pop()
+                else:
+                    fill_left(last, floor, top + bot)
+            if top == top_bound:
                 crit.pop()
-            else:
-                fill_left(j - 1, top, bot, lefts)
-        lefts.pop(j, None)
 
-    def emit(top, bot, lefts):
-        row = (
-            tuple(lefts[j] for j in range(i, r - 1))
-            + (top, bot)
-            + tuple(bars[j] for j in range(r - 2, i - 1, -1))
-        )
-        new_s = list(s)
-        for j in range(i, r - 1):
-            new_s[j - 1] += lefts[j] + bars[j]
-        results.append((row, tuple(crit), tuple(new_s), t1 + top, t2 + bot))
+    def fill_left(j, low, inner):
+        # inner: a_{i,j+1} + bar(i, j+1), or the middle pair's sum for j = last
+        b = vals[flip - j]
+        if j > i:
+            bound = base[j] + inner - 2 * b + vals[flip - j + 1]
+            high = cap[j] - b
+            if high > bound:
+                high = bound
+            k = j - i
+            sj = S[j] + b
+            for v in range(low, high + 1 if high < bound else bound):
+                vals[k] = v
+                sums[j - 1] = sj + v
+                fill_left(j - 1, v, v + b)
+            if high == bound >= low:
+                vals[k] = bound
+                sums[j - 1] = sj + bound
+                crit.append((i, j))
+                fill_left(j - 1, bound, bound + b)
+                crit.pop()
+            return
+        bound = base[i] + inner - 2 * b
+        if exact:
+            v = cap[i] - b
+            if not low <= v <= bound:
+                return
+            values = (v,)
+        else:
+            values = range(low, bound + 1)
+        row_crit = tuple(crit)
+        new_t1, new_t2 = t1 + vals[mid], t2 + vals[mid + 1]
+        si = S[i] + b
+        for v in values:
+            vals[0] = v
+            sums[i - 1] = si + v
+            out.append((
+                tuple(vals),
+                row_crit + ((i, i),) if v == bound else row_crit,
+                tuple(sums),
+                new_t1,
+                new_t2,
+            ))
 
-    if nbar >= 1:
-        fill_bars(i)
-    else:
-        fill_mid_top()
-    return results
+    fill_bars(i, 0)
+    return out
 
 
 def _complete(r, m, lam, i, s, t1, t2):

@@ -306,6 +306,14 @@ def test_missing_subcommand_is_usage_error(capsys):
         pytest.param(
             ["verify", "--suite", "dimension", "--max-rank", "1"], id="dimension-rank-one"
         ),
+        pytest.param(
+            ["verify", "--suite", "dimension", "--max-rank", "3", "--max-twist", "-1"],
+            id="dimension-negative-twist",
+        ),
+        pytest.param(
+            ["verify", "--suite", "rank2", "--max-twist", "-1"], id="rank2-negative-twist"
+        ),
+        pytest.param(["verify", "--suite", "rank2", "--max-n", "0"], id="rank2-n-zero"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlocal import RingElem, gauss_symbol
+from dlocal.coeff_ring import _mul_add
 
 
 def p(e, n=2):
@@ -152,6 +153,42 @@ def test_canonicalization_idempotent(a):
     again = RingElem(a.n, a.terms)
     assert again == a
     assert again.terms == a.terms
+
+
+def _assert_canonical(x):
+    assert all(poly and all(c != 0 for c in poly.values()) for poly in x.terms.values())
+    assert x.terms == RingElem(x.n, x.terms).terms
+
+
+@settings(deadline=None, max_examples=120)
+@given(ring_elems(), ring_elems())
+def test_results_stay_canonical(a, b):
+    for result in (a + b, a - b, a * b, a - a, a * (b - b)):
+        _assert_canonical(result)
+
+
+def test_explicit_cancellations_are_zero():
+    g1 = gauss_symbol(1, 3)
+    for zero in (
+        (one() - p(-1)) * (one() + p(-1)) + p(-2) - one(),
+        (g1 + p(1, n=3)) * (g1 - p(1, n=3)) - g1 * g1 + p(2, n=3),
+        gauss_symbol(1, 2) * p(-1) - p(-1) * gauss_symbol(3, 2),
+    ):
+        assert zero.is_zero
+        assert zero.terms == {}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(ring_elems(), ring_elems()), max_size=6))
+def test_multiply_accumulate_equals_sum_of_products(pairs):
+    out = {}
+    total = RingElem.zero(3)
+    for a, b in pairs:
+        _mul_add(out, a.terms, b.terms)
+        total = total + a * b
+    acc = RingElem(3, out)
+    assert acc.terms == out
+    assert acc == total
 
 
 @settings(deadline=None, max_examples=80)

@@ -1,6 +1,6 @@
 """Pattern shapes, bounds, criticality, weights, and enumeration."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from dlocal import (
     weight_vector,
     weyl_dimension,
 )
+from dlocal.pattern import _row_fills
 
 
 def zero_pattern(r):
@@ -256,3 +257,71 @@ class TestEnumeration:
         rs = build_root_system(3)
         with pytest.raises(ValueError):
             list(enumerate_patterns(rs, HighestWeight((1, 1, 1)), (1, 2)))
+
+
+def _chain_rows(r, i, box):
+    """Every row i with entries in range(box) that satisfies the row chain.
+
+    The left entries a_{i,i} >= ... >= a_{i,r-2} and the right ones
+    a_{i,r+1} >= ... >= a_{i,2r-1-i} decrease, and both middle entries lie
+    between a_{i,r+1} and a_{i,r-2}; the last row is the middle pair alone.
+    """
+    if i == r - 1:
+        return list(product(range(box), repeat=2))
+    chains = [c[::-1] for c in combinations_with_replacement(range(box), r - 1 - i)]
+    return [
+        left + (top, bot) + right
+        for left in chains
+        for right in chains
+        if left[-1] >= right[0]
+        for top in range(right[0], left[-1] + 1)
+        for bot in range(right[0], left[-1] + 1)
+    ]
+
+
+class TestRowFillsAgainstBounds:
+    """``_row_fills`` against admissibility and ``upper_bound`` alone.
+
+    For each prefix (rows 1..i-1) of an enumerated pattern, every candidate
+    row i inside a box is kept when the prefix plus the candidate is
+    admissible and every entry of the row lies under its ``upper_bound``.
+    The kept rows, their critical entries (those equal to their bound) and
+    the column sums they lead to must be exactly the fills of the prefix's
+    state.  ``step`` thins the prefixes of the largest case.
+    """
+
+    @pytest.mark.parametrize(
+        "r,twist,box,step",
+        [(3, (1, 0, 2), 8, 1), (3, (2, 1, 2), 10, 1), (4, (1, 1, 0, 1), 10, 23)],
+    )
+    def test_fills_are_the_bounded_admissible_rows(self, r, twist, box, step):
+        hw = HighestWeight.from_twist(twist)
+        prefixes = {i: set() for i in range(1, r)}
+        for T in enumerate_patterns(build_root_system(r), hw):
+            for i in prefixes:
+                prefixes[i].add(T.rows[: i - 1])
+        for i in range(1, r):
+            below = tuple((0,) * (2 * (r - k)) for k in range(i + 1, r))
+            candidates = _chain_rows(r, i, box)
+            for prefix in sorted(prefixes[i])[::step]:
+                expected = []
+                for row in candidates:
+                    T = LittelmannPattern(r, prefix + (row,) + below)
+                    assert T.is_admissible()
+                    crit = []
+                    for pos in T.positions():
+                        if pos[0] != i:
+                            continue
+                        bound = upper_bound(T, hw, pos)
+                        if T.entry(*pos) > bound:
+                            break
+                        if T.entry(*pos) == bound:
+                            crit.append(pos)
+                    else:
+                        assert max(row) < box - 1, "the box is too small"
+                        ps = partial_sums(T, i)
+                        expected.append((row, crit, ps.col_pairs, ps.mid_top, ps.mid_bot))
+                ps = partial_sums(T, i - 1)
+                fills = _row_fills(r, hw.m, i, ps.col_pairs, ps.mid_top, ps.mid_bot, None)
+                actual = sorted((row, sorted(crit), s, t1, t2) for row, crit, s, t1, t2 in fills)
+                assert actual == sorted(expected), (i, prefix)
