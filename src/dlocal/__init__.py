@@ -13,15 +13,12 @@ from .decoration import (
     DecoratedGraph,
     component_structure,
     decorate,
-    is_strict,
     render_decorated,
-    row_chain_pairs,
 )
 from .local_part import (
     LocalPart,
     local_part,
     pattern_contribution,
-    sigma_component,
     sigma_entry,
 )
 from .oracle import (
@@ -39,11 +36,7 @@ from .pattern import (
     count_patterns,
     critical_positions,
     enumerate_decorated,
-    enumerate_patterns,
-    first_bound_violation,
-    is_theta_admissible,
-    partial_sums,
-    upper_bound,
+    row_chain_pairs,
     weight_vector,
 )
 from .root_data import (
@@ -77,21 +70,14 @@ __all__ = [
     "critical_positions",
     "decorate",
     "enumerate_decorated",
-    "enumerate_patterns",
-    "first_bound_violation",
     "gauss_symbol",
-    "is_strict",
-    "is_theta_admissible",
     "kubota_local",
     "local_part",
-    "partial_sums",
     "pattern_contribution",
     "render_decorated",
     "row_chain_pairs",
-    "sigma_component",
     "sigma_entry",
     "tokuyama_product",
-    "upper_bound",
     "weight_vector",
     "weyl_dimension",
 ]

@@ -188,10 +188,7 @@ def cmd_explain(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite == "dimension":
         max_twist = 2 if args.max_twist is None else args.max_twist
-        extra = ((5, (0,) * 5),) if args.max_rank >= 4 else ()
-        reports = [
-            check_dimension(max_rank=args.max_rank, max_twist=max_twist, extra_cases=extra)
-        ]
+        reports = [check_dimension(max_rank=args.max_rank, max_twist=max_twist)]
     elif args.suite == "tokuyama":
         reports = [check_tokuyama(max_rank=args.max_rank)]
     elif args.suite == "rank2":

@@ -35,7 +35,7 @@ from .pattern import (
     Position,
     critical_positions,
     enumerate_decorated,
-    first_bound_violation,
+    row_chain_pairs,
     row_weight,
 )
 from .root_data import HighestWeight, RootSystemD
@@ -43,17 +43,6 @@ from .root_data import HighestWeight, RootSystemD
 ORDINARY = "ordinary"
 ML_ASYMMETRIC = "ml_asymmetric"
 ML_SYMMETRIC = "ml_symmetric"
-
-
-@lru_cache(maxsize=None)
-def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
-    """Consecutive comparable column pairs of row i, earlier column first."""
-    r = rank
-    pairs = [(j, j + 1) for j in range(i, r - 2)]
-    if i <= r - 2:
-        pairs += [(r - 2, r - 1), (r - 2, r), (r - 1, r + 1), (r, r + 1)]
-    pairs += [(j, j + 1) for j in range(r + 1, 2 * r - 1 - i)]
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -182,22 +171,13 @@ def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
 
 def decorate(T: LittelmannPattern, hw: HighestWeight) -> DecoratedGraph:
     """Build the decorated graph; rejects patterns that violate a bound."""
-    if not T.is_admissible():
-        raise ValueError("pattern rows are not weakly decreasing")
-    violation = first_bound_violation(T, hw)
-    if violation is not None:
-        pos, value, bound = violation
-        raise ValueError(
-            f"entry {value} at row {pos[0]}, column {pos[1]} exceeds its bound {bound}"
-        )
+    circled = critical_positions(T, hw)
     edges = []
     for i in range(1, T.rank):
         for a, b in row_chain_pairs(T.rank, i):
             if T.entry(i, a) == T.entry(i, b):
                 edges.append(((i, a), (i, b)))
-    return DecoratedGraph(
-        pattern=T, circled=critical_positions(T, hw), edges=tuple(edges)
-    )
+    return DecoratedGraph(pattern=T, circled=circled, edges=tuple(edges))
 
 
 def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
@@ -218,10 +198,6 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
     if T.entry(i, j) == 0:
         return f"circled zero at row {i}, column {j}"
     return f"circled entry at row {i}, column {j} leans on its equal right neighbor"
-
-
-def is_strict(T: LittelmannPattern, hw: HighestWeight) -> bool:
-    return _strictness_failure(T, critical_positions(T, hw)) is None
 
 
 def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[int, int]:

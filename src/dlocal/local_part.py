@@ -176,11 +176,6 @@ def component_rule(comp: Component, circled, n: int) -> tuple[RingElem, str]:
     raise ValueError(f"unclassified component kind {comp.kind!r}")
 
 
-def sigma_component(comp: Component, circled, n: int) -> RingElem:
-    """Standard contribution of a component of the decorated graph."""
-    return component_rule(comp, circled, n)[0]
-
-
 @lru_cache(maxsize=None)
 def row_term(
     rank: int, i: int, row: tuple[int, ...], crit: tuple[Position, ...], n: int
@@ -197,7 +192,7 @@ def row_term(
     unit = _one(n)
     factor = unit
     for comp in components:
-        value = sigma_component(comp, crit, n)
+        value = component_rule(comp, crit, n)[0]
         if value.is_zero:
             return value, delta
         if value is not unit:

@@ -162,14 +162,11 @@ def _check_max_twist(max_twist: int) -> None:
         raise ValueError(f"max twist must be >= 0, got {max_twist}")
 
 
-def check_dimension(
-    max_rank: int = 4,
-    max_twist: int = 2,
-    extra_cases: tuple = ((5, (0, 0, 0, 0, 0)),),
-) -> VerificationReport:
+def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport:
     """Pattern count == Weyl dimension over the whole twist grid.
 
-    ``extra_cases`` already in the grid are not run a second time.
+    From ``max_rank`` 4 up, untwisted D5 is checked too: at 4 it is added
+    past the grid, above 4 the grid holds it.
     """
     _check_max_rank(max_rank)
     _check_max_twist(max_twist)
@@ -179,7 +176,8 @@ def check_dimension(
         for r in range(2, max_rank + 1)
         for twist in product(range(max_twist + 1), repeat=r)
     ]
-    grid.extend(case for case in extra_cases if case not in grid)
+    if max_rank == 4:
+        grid.append((5, (0,) * 5))
     for r, twist in grid:
         rs = build_root_system(r)
         hw = HighestWeight.from_twist(twist)

@@ -34,6 +34,11 @@ when it equals its own bound.  These conventions are validated by the
 dimension suite: the number of bounded patterns must equal the Weyl
 dimension for every tested highest weight.
 
+The bounds are computed per row in one place: ``_row_bases`` maps the
+state above row i, (S(., i-1), T1(i-1), T2(i-1)), to the row's bounds
+without their in-row terms.  ``_row_fills`` adds those terms as it places
+the entries, and ``critical_positions`` as it replays a given pattern.
+
 Enumeration fills rows top to bottom.  Within a row the only order in
 which every bound is available as soon as its entry is placed is right to
 left: the right half first (bar indices j = i..r-2, i.e. boxes from the
@@ -49,7 +54,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from operator import add
+from typing import Iterator
 
 from .root_data import HighestWeight, RootSystemD
 
@@ -98,21 +105,12 @@ class LittelmannPattern:
                 yield (i, j)
 
     def is_admissible(self) -> bool:
-        r = self.rank
-        for i in range(1, r):
-            top, bot = self.entry(i, r - 1), self.entry(i, r)
-            for j in range(i, r - 2):
-                if self.entry(i, j) < self.entry(i, j + 1):
-                    return False
-            if i <= r - 2:
-                outer = self.entry(i, r - 2)
-                inner = self.entry(i, r + 1)
-                if top > outer or bot > outer or top < inner or bot < inner:
-                    return False
-                for j in range(r + 1, 2 * r - 1 - i):
-                    if self.entry(i, j) < self.entry(i, j + 1):
-                        return False
-        return True
+        """Every row decreases weakly along its row chain."""
+        return all(
+            self.entry(i, a) >= self.entry(i, b)
+            for i in range(1, self.rank)
+            for a, b in row_chain_pairs(self.rank, i)
+        )
 
     # -- serialization --------------------------------------------------------
 
@@ -140,103 +138,76 @@ class LittelmannPattern:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-# -- partial sums -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialSums:
-    """Cumulative column sums over rows 1..row (all zero for row = 0)."""
-
-    rank: int
-    row: int
-    col_pairs: tuple[int, ...]  # index c-1 holds S(c, row) for c = 1..rank-2
-    mid_top: int  # T1(row)
-    mid_bot: int  # T2(row)
-
-    @property
-    def mid_sum(self) -> int:  # Sm(row)
-        return self.mid_top + self.mid_bot
-
-    def s(self, c: int) -> int:
-        """S(c, row); S(0, .) = 0 by convention."""
-        return self.col_pairs[c - 1] if c >= 1 else 0
-
-
-def partial_sums(T: LittelmannPattern, upto_row: int) -> PartialSums:
-    r = T.rank
-    if not 0 <= upto_row <= r - 1:
-        raise ValueError(f"row must be in 0..{r - 1}, got {upto_row}")
-    cols = [0] * (r - 2)
-    t1 = t2 = 0
-    for i in range(1, upto_row + 1):
-        for c in range(i, r - 1):
-            cols[c - 1] += T.entry(i, c) + T.bar(i, c)
-        t1 += T.entry(i, r - 1)
-        t2 += T.entry(i, r)
-    return PartialSums(rank=r, row=upto_row, col_pairs=tuple(cols), mid_top=t1, mid_bot=t2)
-
-
 # -- bounds and criticality ---------------------------------------------------
 
 
-def upper_bound(T: LittelmannPattern, hw: HighestWeight, position: Position) -> int:
-    """Right-hand side of the unique bound whose left side is this entry."""
-    r = T.rank
-    if hw.rank != r:
-        raise ValueError(f"rank mismatch: pattern {r}, weight {hw.rank}")
-    i, j = position
-    if not (1 <= i <= r - 1 and i <= j <= 2 * r - 1 - i):
-        raise ValueError(f"position {position} outside a rank-{r} pattern")
-    m = hw.m
-    ps = partial_sums(T, i - 1)
+def _row_bases(r, m, i, S, t1, t2):
+    """Row i's bounds without their in-row terms, from the state above it.
 
-    def inrow_bar(c: int) -> int:
-        return T.bar(i, c) if c >= i else 0
-
-    if j <= r - 2:
-        if j + 1 <= r - 2:
-            right = ps.s(j + 1) + T.entry(i, j + 1) + T.bar(i, j + 1)
-        else:
-            right = ps.mid_sum + T.entry(i, r - 1) + T.entry(i, r)
-        return (
-            m[r - j]
-            + right
-            - 2 * (T.bar(i, j) + ps.s(j))
-            + inrow_bar(j - 1)
-            + ps.s(j - 1)
-        )
-    if j == r - 1:
-        return m[1] + inrow_bar(r - 2) + ps.s(r - 2) - 2 * ps.mid_top
-    if j == r:
-        return m[0] + inrow_bar(r - 2) + ps.s(r - 2) - 2 * ps.mid_bot
-    jb = 2 * r - 1 - j  # bar index, i <= jb <= r-2
-    tail = ps.s(jb + 1) if jb + 1 <= r - 2 else ps.mid_sum
-    return m[r - jb] + inrow_bar(jb - 1) + ps.s(jb - 1) - 2 * ps.s(jb) + tail
+    ``S[c]`` is S(c, i-1) for c = 1..r-2 and ``S[0]`` = 0; ``t1``, ``t2`` are
+    T1(i-1), T2(i-1).  Returns (base, top_base, bot_base): for j = i..r-2,
+    base[j] + bar(i, j-1) bounds bar(i, j), and base[j] - 2 bar(i, j)
+    + bar(i, j-1) + (a_{i,j+1} + bar(i, j+1), or the middle pair for
+    j = r-2) bounds a_{i,j}; top_base and bot_base plus bar(i, r-2) bound
+    a_{i,r-1} and a_{i,r}.  An in-row term outside row i is 0.
+    """
+    last = r - 2
+    smid = t1 + t2
+    base = [0] * (last + 1)
+    for j in range(i, last + 1):
+        base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else smid)
+    return base, m[1] + S[last] - 2 * t1, m[0] + S[last] - 2 * t2
 
 
-def is_theta_admissible(T: LittelmannPattern, hw: HighestWeight) -> bool:
-    return T.is_admissible() and first_bound_violation(T, hw) is None
-
-
-def first_bound_violation(
-    T: LittelmannPattern, hw: HighestWeight
-) -> Optional[tuple[Position, int, int]]:
-    """First (row-major) entry exceeding its bound, as (position, value, bound)."""
-    for pos in T.positions():
-        value = T.entry(*pos)
-        bound = upper_bound(T, hw, pos)
-        if value > bound:
-            return pos, value, bound
-    return None
+@lru_cache(maxsize=None)
+def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
+    """Consecutive comparable column pairs of row i, earlier column first."""
+    r = rank
+    pairs = [(j, j + 1) for j in range(i, r - 2)]
+    if i <= r - 2:
+        pairs += [(r - 2, r - 1), (r - 2, r), (r - 1, r + 1), (r, r + 1)]
+    pairs += [(j, j + 1) for j in range(r + 1, 2 * r - 1 - i)]
+    return tuple(pairs)
 
 
 def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Position]:
-    """Positions whose entry meets its bound; defined for bounded patterns only."""
-    if not is_theta_admissible(T, hw):
-        raise ValueError("pattern is not admissible for this highest weight")
-    return frozenset(
-        pos for pos in T.positions() if T.entry(*pos) == upper_bound(T, hw, pos)
-    )
+    """Positions whose entry meets its bound.
+
+    Replays T down its rows through ``_row_bases``, the bound routine of
+    the fills; the state above row i is the sum of ``row_weight`` over the
+    rows before it.  Raises ValueError when a row breaks the row chain or
+    an entry exceeds its bound (the first such entry in row-major order).
+    """
+    r = T.rank
+    if hw.rank != r:
+        raise ValueError(f"rank mismatch: pattern {r}, weight {hw.rank}")
+    if not T.is_admissible():
+        raise ValueError("pattern rows are not weakly decreasing")
+    last = r - 2
+    w = (0,) * r  # weight of the rows above row i
+    crit = []
+    for i, row in enumerate(T.rows, start=1):
+        S = (0,) + tuple(w[r - c] for c in range(1, r - 1))
+        base, top_base, bot_base = _row_bases(r, hw.m, i, S, w[0], w[1])
+        cols = range(i, last + 1)
+        # bars[k] bounds bar(i, i+k), lefts[k] bounds a_{i,i+k}; bar(i, r-1)
+        # is a_{i,r}, so a_{i,j+1} + bar(i, j+1) is the middle pair at j = r-2.
+        bars = [base[j] + (T.bar(i, j - 1) if j > i else 0) for j in cols]
+        lefts = [
+            bars[j - i] - 2 * T.bar(i, j) + T.entry(i, j + 1) + T.bar(i, j + 1)
+            for j in cols
+        ]
+        inner = T.bar(i, last) if i <= last else 0
+        bounds = lefts + [top_base + inner, bot_base + inner] + bars[::-1]
+        for c, (value, bound) in enumerate(zip(row, bounds), start=i):
+            if value > bound:
+                raise ValueError(
+                    f"entry {value} at row {i}, column {c} exceeds its bound {bound}"
+                )
+            if value == bound:
+                crit.append((i, c))
+        w = tuple(map(add, w, row_weight(r, i, row)))
+    return frozenset(crit)
 
 
 def row_weight(rank: int, i: int, row: tuple[int, ...]) -> tuple[int, ...]:
@@ -281,37 +252,29 @@ def _row_fills(r, m, i, s, t1, t2, lam):
     """
     last = r - 2  # index of the innermost bar, and column of the first left entry
     S = (0,) + s  # S[c] = S(c, i-1)
+    base, top_base, bot_base = _row_bases(r, m, i, S, t1, t2)
     out = []
     if i > last:  # the last row holds only the middle pair
-        top_bound = m[1] + S[last] - 2 * t1
-        bot_bound = m[0] + S[last] - 2 * t2
         if lam is None:
-            tops, bots = range(top_bound + 1), range(bot_bound + 1)
+            tops, bots = range(top_base + 1), range(bot_base + 1)
         else:
             top, bot = lam[0] - t1, lam[1] - t2
-            tops = (top,) if 0 <= top <= top_bound else ()
-            bots = (bot,) if 0 <= bot <= bot_bound else ()
+            tops = (top,) if 0 <= top <= top_base else ()
+            bots = (bot,) if 0 <= bot <= bot_base else ()
         for top in tops:
-            top_crit = ((i, r - 1),) if top == top_bound else ()
+            top_crit = ((i, r - 1),) if top == top_base else ()
             for bot in bots:
-                crit = top_crit + ((i, r),) if bot == bot_bound else top_crit
+                crit = top_crit + ((i, r),) if bot == bot_base else top_crit
                 out.append(((top, bot), crit, s, t1 + top, t2 + bot))
         return out
 
     exact = lam is not None
-    smid = t1 + t2
-    # base[j] + bar(i, j-1) is the bound of bar(i, j), and base[j] - 2 bar(i, j)
-    # + bar(i, j-1) + (a_{i,j+1} + bar(i, j+1), or the middle pair for j = last)
-    # is the bound of a_{i,j}.  cap[j] is what the target leaves for column j:
-    # it caps bar(i, j), and cap[j] - bar(i, j) caps a_{i,j}.
-    base = [0] * (last + 1)
+    # cap[j] is what the target leaves for column j: it caps bar(i, j), and
+    # cap[j] - bar(i, j) caps a_{i,j}.
     cap = [_NO_CAP] * (last + 1)
-    for j in range(i, last + 1):
-        base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else smid)
-        if exact:
+    if exact:
+        for j in range(i, last + 1):
             cap[j] = lam[r - j] - S[j]
-    top_base = m[1] + S[last] - 2 * t1
-    bot_base = m[0] + S[last] - 2 * t2
     top_cap = lam[0] - t1 if exact else _NO_CAP
     bot_cap = lam[1] - t2 if exact else _NO_CAP
     flip = 2 * r - 1 - i  # bar(i, j) sits at vals[flip - j]
@@ -439,14 +402,6 @@ def enumerate_decorated(
     for rows, crit in _complete(r, hw.m, weight_filter, 1, (0,) * (r - 2), 0, 0):
         circled = frozenset(pos for row_crit in crit for pos in row_crit)
         yield LittelmannPattern(rank=r, rows=rows), circled
-
-
-def enumerate_patterns(
-    rs: RootSystemD, hw: HighestWeight, weight_filter=None
-) -> Iterator[LittelmannPattern]:
-    """Yield every bounded pattern exactly once, canonically ordered."""
-    for T, _ in enumerate_decorated(rs, hw, weight_filter):
-        yield T
 
 
 def count_patterns(rs: RootSystemD, hw: HighestWeight) -> int:

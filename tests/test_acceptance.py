@@ -97,7 +97,7 @@ def test_criterion_2_tokuyama_identity():
 def test_criterion_3_dimension_grid():
     with criterion("3 dimension grid (boundary-convention validator)"):
         start = time.perf_counter()
-        report = check_dimension(max_rank=4, max_twist=2, extra_cases=((5, (0,) * 5),))
+        report = check_dimension(max_rank=4, max_twist=2)
         elapsed = time.perf_counter() - start
         failing = [case.description for case in report.cases if not case.passed]
         assert report.passed, f"failing cases: {failing}"

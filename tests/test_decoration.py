@@ -10,7 +10,6 @@ from dlocal import (
     critical_positions,
     decorate,
     enumerate_decorated,
-    is_strict,
     render_decorated,
     row_chain_pairs,
 )
@@ -187,7 +186,7 @@ class TestStrictness:
         rs = build_root_system(4)
         hw = HighestWeight((1, 1, 1, 1))
         T = LittelmannPattern(4, ((0,) * 6, (0,) * 4, (0,) * 2))
-        assert is_strict(T, hw)
+        assert _strictness_failure(T, critical_positions(T, hw)) is None
 
     def test_first_circled_zero_in_row_order_is_reported(self):
         hw = HighestWeight((1, 1, 1))
@@ -203,7 +202,7 @@ class TestStrictness:
         T = make_pattern((1, 1, 0, 0), (0, 0))
         assert (2, 2) in critical_positions(T, hw)
         assert T.entry(2, 2) == 0
-        assert not is_strict(T, hw)
+        assert _strictness_failure(T, critical_positions(T, hw)) is not None
 
     def test_leaning_circled_left_endpoint_is_nonstrict(self):
         hw = HighestWeight((3, 2))
@@ -216,7 +215,8 @@ class TestStrictness:
                 colset = set(comp.columns)
                 for a, b in row_chain_pairs(T.rank, comp.row):
                     if a in colset and b in colset and (comp.row, a) in crit:
-                        assert not is_strict(T, HighestWeight((2, 1, 2)))
+                        circled = critical_positions(T, HighestWeight((2, 1, 2)))
+                        assert _strictness_failure(T, circled) is not None
                         found = True
         assert found
 
@@ -229,7 +229,7 @@ class TestStrictness:
         comp = next(c for c in component_structure(T) if c.row == 1)
         assert comp.kind == ML_SYMMETRIC
         assert (1, 1) in crit  # the leaner contains circled vertices
-        assert is_strict(T, hw)
+        assert _strictness_failure(T, critical_positions(T, hw)) is None
 
     def test_published_nonstrict_counts(self):
         rs = build_root_system(4)

@@ -14,12 +14,12 @@ from dlocal import (
     gauss_symbol,
     local_part,
     pattern_contribution,
-    sigma_component,
     sigma_entry,
     tokuyama_product,
     weight_vector,
 )
 from dlocal.decoration import ML_SYMMETRIC, _strictness_failure, component_structure
+from dlocal.local_part import component_rule
 
 
 def p(e, n=2):
@@ -70,30 +70,30 @@ class TestSigmaComponent:
         comp = _symmetric_leaner(4)
         circled = {comp.rightmost}
         expected = (-p(-1)) * (one() - p(-1)) * p(-1)
-        assert sigma_component(comp, circled, 2) == expected
+        assert component_rule(comp, circled, 2)[0] == expected
 
     def test_symmetric_uncircled_rightmost(self):
         comp = _symmetric_leaner(4)
-        value = sigma_component(comp, set(), 2)
+        value = component_rule(comp, set(), 2)[0]
         assert value == (one() - p(-1)) * (one() - p(-2))
 
     def test_symmetric_uncircled_length3(self):
         T = LittelmannPattern(4, ((2, 2, 2, 2, 2, 2), (1, 1, 1, 1), (1, 0)))
         comp = next(c for c in component_structure(T) if c.row == 1)
         assert comp.kind == ML_SYMMETRIC and comp.length == 3
-        assert sigma_component(comp, set(), 2) == (one() - p(-1)) * (one() - p(-3))
+        assert component_rule(comp, set(), 2)[0] == (one() - p(-1)) * (one() - p(-3))
 
     def test_zero_component_is_unit(self):
         T = LittelmannPattern(2, ((0, 0),))
         for comp in component_structure(T):
-            assert sigma_component(comp, set(), 3) == RingElem.one(3)
+            assert component_rule(comp, set(), 3)[0] == RingElem.one(3)
 
     def test_asymmetric_uses_shorter_leg_endpoint(self):
         T = LittelmannPattern(4, ((2, 2, 2, 2, 2, 0), (1, 1, 1, 1), (1, 0)))
         comp = next(c for c in component_structure(T) if c.row == 1 and len(c.columns) > 1)
         assert comp.shorter_leg_endpoint == (1, 5)
-        assert sigma_component(comp, {(1, 5)}, 2) == -p(-1)
-        assert sigma_component(comp, {(1, 1)}, 2) == one() - p(-1)
+        assert component_rule(comp, {(1, 5)}, 2)[0] == -p(-1)
+        assert component_rule(comp, {(1, 1)}, 2)[0] == one() - p(-1)
 
 
 class TestPatternContribution:
@@ -235,9 +235,7 @@ class TestLocalPart:
         hw = HighestWeight((2, 2, 2))
         part = local_part(rs, hw, n=1)
         lam_max = [0] * 3
-        from dlocal import enumerate_patterns, weight_vector
-
-        for T in enumerate_patterns(rs, hw):
+        for T, _ in enumerate_decorated(rs, hw):
             for k, v in enumerate(weight_vector(T)):
                 lam_max[k] = max(lam_max[k], v)
         for lam in part.coefficients:

@@ -59,7 +59,7 @@ class TestKubota:
 
 class TestSuites:
     def test_dimension_small_grid(self):
-        report = check_dimension(max_rank=3, max_twist=1, extra_cases=())
+        report = check_dimension(max_rank=3, max_twist=1)
         assert report.passed
         assert report.counts == (12, 12)  # 4 rank-2 twists + 8 rank-3 twists
 

@@ -1,5 +1,6 @@
 """Pattern shapes, bounds, criticality, weights, and enumeration."""
 
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -11,18 +12,122 @@ from dlocal import (
     count_patterns,
     critical_positions,
     enumerate_decorated,
-    enumerate_patterns,
-    is_theta_admissible,
-    partial_sums,
-    upper_bound,
     weight_vector,
     weyl_dimension,
 )
-from dlocal.pattern import _row_fills
+from dlocal.pattern import _row_bases, _row_fills
 
 
 def zero_pattern(r):
     return LittelmannPattern(r, tuple(tuple(0 for _ in range(2 * (r - i))) for i in range(1, r)))
+
+
+def patterns(rs, hw, weight_filter=None):
+    """The bounded patterns of ``enumerate_decorated``, without their critical sets."""
+    return [T for T, _ in enumerate_decorated(rs, hw, weight_filter)]
+
+
+# -- a test-only reference for the bounds ---------------------------------------
+#
+# The per-entry formulas of the module docstring, transcribed entry by entry
+# with their own cumulative column sums.  ``_row_fills`` and
+# ``critical_positions`` share one per-row bound routine; the tests below
+# compare both against this independent transcription.
+
+
+@dataclass(frozen=True)
+class PartialSums:
+    """Cumulative column sums over rows 1..row (all zero for row = 0)."""
+
+    rank: int
+    row: int
+    col_pairs: tuple[int, ...]  # index c-1 holds S(c, row) for c = 1..rank-2
+    mid_top: int  # T1(row)
+    mid_bot: int  # T2(row)
+
+    @property
+    def mid_sum(self) -> int:  # Sm(row)
+        return self.mid_top + self.mid_bot
+
+    def s(self, c: int) -> int:
+        """S(c, row); S(0, .) = 0 by convention."""
+        return self.col_pairs[c - 1] if c >= 1 else 0
+
+
+def partial_sums(T, upto_row):
+    r = T.rank
+    if not 0 <= upto_row <= r - 1:
+        raise ValueError(f"row must be in 0..{r - 1}, got {upto_row}")
+    cols = [0] * (r - 2)
+    t1 = t2 = 0
+    for i in range(1, upto_row + 1):
+        for c in range(i, r - 1):
+            cols[c - 1] += T.entry(i, c) + T.bar(i, c)
+        t1 += T.entry(i, r - 1)
+        t2 += T.entry(i, r)
+    return PartialSums(rank=r, row=upto_row, col_pairs=tuple(cols), mid_top=t1, mid_bot=t2)
+
+
+def upper_bound(T, hw, position):
+    """Right-hand side of the unique bound whose left side is this entry."""
+    r = T.rank
+    if hw.rank != r:
+        raise ValueError(f"rank mismatch: pattern {r}, weight {hw.rank}")
+    i, j = position
+    if not (1 <= i <= r - 1 and i <= j <= 2 * r - 1 - i):
+        raise ValueError(f"position {position} outside a rank-{r} pattern")
+    m = hw.m
+    ps = partial_sums(T, i - 1)
+
+    def inrow_bar(c):
+        return T.bar(i, c) if c >= i else 0
+
+    if j <= r - 2:
+        if j + 1 <= r - 2:
+            right = ps.s(j + 1) + T.entry(i, j + 1) + T.bar(i, j + 1)
+        else:
+            right = ps.mid_sum + T.entry(i, r - 1) + T.entry(i, r)
+        return (
+            m[r - j]
+            + right
+            - 2 * (T.bar(i, j) + ps.s(j))
+            + inrow_bar(j - 1)
+            + ps.s(j - 1)
+        )
+    if j == r - 1:
+        return m[1] + inrow_bar(r - 2) + ps.s(r - 2) - 2 * ps.mid_top
+    if j == r:
+        return m[0] + inrow_bar(r - 2) + ps.s(r - 2) - 2 * ps.mid_bot
+    jb = 2 * r - 1 - j  # bar index, i <= jb <= r-2
+    tail = ps.s(jb + 1) if jb + 1 <= r - 2 else ps.mid_sum
+    return m[r - jb] + inrow_bar(jb - 1) + ps.s(jb - 1) - 2 * ps.s(jb) + tail
+
+
+def reference_criticality(T, hw):
+    """(critical set, first violation message or None) by the reference."""
+    crit = set()
+    for pos in T.positions():
+        value, bound = T.entry(*pos), upper_bound(T, hw, pos)
+        if value > bound:
+            return None, f"entry {value} at row {pos[0]}, column {pos[1]} exceeds its bound {bound}"
+        if value == bound:
+            crit.add(pos)
+    return frozenset(crit), None
+
+
+def fill_states(T, hw):
+    """The state (s, t1, t2) after each row of T, read off ``_row_fills``.
+
+    T's weight is the fills' target, which keeps them few.
+    """
+    r = T.rank
+    state = ((0,) * (r - 2), 0, 0)
+    states = [state]
+    for i, row in enumerate(T.rows, start=1):
+        fills = _row_fills(r, hw.m, i, *state, weight_vector(T))
+        (state,) = [f[2:] for f in fills if f[0] == row]
+        states.append(state)
+    return states
 
 
 class TestShape:
@@ -72,69 +177,94 @@ class TestShape:
 class TestPartialSums:
     def test_displayed_formulas(self):
         T = LittelmannPattern.from_string("3,2,2,1,1,1;2,1,1,1;1,0")
-        ps = partial_sums(T, 2)
+        s, t1, t2 = fill_states(T, HighestWeight((9, 9, 9, 9)))[2]
         # S(c, 2) sums a_{k,c} + bar(k,c) over rows k <= min(2, c).
-        assert ps.s(1) == T.entry(1, 1) + T.bar(1, 1)
-        assert ps.s(2) == (
+        assert s[0] == T.entry(1, 1) + T.bar(1, 1)
+        assert s[1] == (
             T.entry(1, 2) + T.bar(1, 2) + T.entry(2, 2) + T.bar(2, 2)
         )
-        assert ps.mid_top == T.entry(1, 3) + T.entry(2, 3)
-        assert ps.mid_bot == T.entry(1, 4) + T.entry(2, 4)
-        assert ps.mid_sum == ps.mid_top + ps.mid_bot
+        assert t1 == T.entry(1, 3) + T.entry(2, 3)
+        assert t2 == T.entry(1, 4) + T.entry(2, 4)
+        ps = partial_sums(T, 2)
+        assert (ps.col_pairs, ps.mid_top, ps.mid_bot) == (s, t1, t2)
 
     def test_empty_prefix_is_zero(self):
-        ps = partial_sums(zero_pattern(4), 0)
-        assert ps.s(1) == ps.s(2) == ps.mid_top == ps.mid_bot == 0
+        states = fill_states(zero_pattern(4), HighestWeight((1, 1, 1, 1)))
+        assert states == [((0, 0), 0, 0)] * 4
 
 
 class TestUpperBound:
+    """Hand-computed bounds from ``_row_bases``, the one bound routine."""
+
     def test_rank2_bounds_are_the_weights(self):
-        T = zero_pattern(2)
-        hw = HighestWeight((4, 7))
-        assert upper_bound(T, hw, (1, 1)) == 7  # m_2 bounds the first middle column
-        assert upper_bound(T, hw, (1, 2)) == 4  # m_1 bounds the second
+        _, top, bot = _row_bases(2, (4, 7), 1, (0,), 0, 0)
+        assert top == 7  # m_2 bounds the first middle column
+        assert bot == 4  # m_1 bounds the second
+        T = LittelmannPattern(2, ((7, 4),))
+        assert critical_positions(T, HighestWeight((4, 7))) == {(1, 1), (1, 2)}
 
     def test_zero_pattern_first_column_bound(self):
-        T = zero_pattern(4)
-        hw = HighestWeight((1, 1, 1, 1))
-        assert upper_bound(T, hw, (1, 1)) == 1  # m_4 with empty sums
+        base, _, _ = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
+        # a_{1,1} <= base[1] - 2 bar(1,1) + a_{1,2} + bar(1,2): m_4 with empty sums
+        assert base[1] == 1
+        assert upper_bound(zero_pattern(4), HighestWeight((1, 1, 1, 1)), (1, 1)) == 1
 
     def test_zero_pattern_bottom_middle_bound(self):
-        T = zero_pattern(4)
-        hw = HighestWeight((1, 1, 1, 1))
-        assert upper_bound(T, hw, (1, 4)) == 1  # m_1 with empty sums
-
-    def test_out_of_range_position(self):
-        T = zero_pattern(3)
-        with pytest.raises(ValueError):
-            upper_bound(T, HighestWeight((1, 1, 1)), (2, 1))
+        _, _, bot = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
+        assert bot == 1  # m_1 with empty sums
 
     def test_bounds_depend_on_previous_rows(self):
         T = LittelmannPattern.from_string("1,1,1,1;1,1")
         hw = HighestWeight((2, 2, 2))
         # Row 2 top-middle bound: m_2 + bar(2,1)->absent + S(1,1) - 2*T1(1).
-        assert upper_bound(T, hw, (2, 2)) == 2 + (1 + 1) - 2 * 1
+        s, t1, t2 = fill_states(T, hw)[1]
+        _, top, _ = _row_bases(3, hw.m, 2, (0,) + s, t1, t2)
+        assert top == 2 + (1 + 1) - 2 * 1
+        assert upper_bound(T, hw, (2, 2)) == top
 
 
 class TestThetaAdmissible:
     def test_rank2_corner_is_admissible_and_critical(self):
         hw = HighestWeight((3, 2))
         T = LittelmannPattern(2, ((2, 3),))  # (m_2, m_1)
-        assert is_theta_admissible(T, hw)
+        assert T.is_admissible()
         assert critical_positions(T, hw) == {(1, 1), (1, 2)}
 
     def test_zero_pattern_has_no_critical_entries(self):
         T = zero_pattern(4)
         hw = HighestWeight((1, 1, 1, 1))
-        assert is_theta_admissible(T, hw)
+        assert T.is_admissible()
         assert critical_positions(T, hw) == frozenset()
 
     def test_exceeding_bound_rejected(self):
         hw = HighestWeight((3, 2))
         T = LittelmannPattern(2, ((3, 0),))  # first middle bound is m_2 = 2
-        assert not is_theta_admissible(T, hw)
+        assert T.is_admissible()
         with pytest.raises(ValueError):
             critical_positions(T, hw)
+
+    def test_violation_message_names_the_first_entry(self):
+        hw = HighestWeight((3, 2))
+        T = LittelmannPattern(2, ((3, 9),))
+        with pytest.raises(ValueError, match=r"^entry 3 at row 1, column 1 exceeds its bound 2$"):
+            critical_positions(T, hw)
+
+    def test_violation_below_the_first_row(self):
+        # Row 1 is bounded; row 2's top-middle bound is 1 + 2 - 2*1 = 1.
+        hw = HighestWeight((1, 1, 1))
+        T = LittelmannPattern.from_string("1,1,1,1;3,0")
+        assert reference_criticality(T, hw)[1] == "entry 3 at row 2, column 2 exceeds its bound 1"
+        with pytest.raises(ValueError, match=r"^entry 3 at row 2, column 2 exceeds its bound 1$"):
+            critical_positions(T, hw)
+
+    def test_broken_row_chain_rejected(self):
+        T = LittelmannPattern.from_string("1,2,0,0;1,0")
+        with pytest.raises(ValueError, match=r"^pattern rows are not weakly decreasing$"):
+            critical_positions(T, HighestWeight((5, 5, 5)))
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            critical_positions(zero_pattern(3), HighestWeight((1, 1)))
 
 
 class TestWeightVector:
@@ -156,26 +286,26 @@ class TestEnumeration:
     def test_rank2_grid(self):
         rs = build_root_system(2)
         for m1, m2 in product(range(1, 4), repeat=2):
-            pats = list(enumerate_patterns(rs, HighestWeight((m1, m2))))
+            pats = list(patterns(rs, HighestWeight((m1, m2))))
             assert len(pats) == (m1 + 1) * (m2 + 1)
             assert pats == sorted(pats, key=lambda T: T.rows)
 
     def test_d4_untwisted_count(self):
         rs = build_root_system(4)
         hw = HighestWeight((1, 1, 1, 1))
-        assert sum(1 for _ in enumerate_patterns(rs, hw)) == 4096
+        assert sum(1 for _ in patterns(rs, hw)) == 4096
 
     def test_published_weight_class_size(self):
         rs = build_root_system(4)
         hw = HighestWeight.from_twist((0, 1, 2, 0))
-        pats = list(enumerate_patterns(rs, hw, (10, 10, 17, 10)))
+        pats = list(patterns(rs, hw, (10, 10, 17, 10)))
         assert len(pats) == 27
         assert all(weight_vector(T) == (10, 10, 17, 10) for T in pats)
 
     def test_canonical_order_is_row_major_lex(self):
         rs = build_root_system(3)
         hw = HighestWeight((2, 1, 2))
-        pats = [T.rows for T in enumerate_patterns(rs, hw)]
+        pats = [T.rows for T in patterns(rs, hw)]
         assert pats == sorted(pats)
         assert len(pats) == len(set(pats))
 
@@ -188,14 +318,13 @@ class TestEnumeration:
         hw = HighestWeight.from_twist(twist)
         expected = weyl_dimension(rs, hw)
         assert count_patterns(rs, hw) == expected
-        assert sum(1 for _ in enumerate_patterns(rs, hw)) == expected
+        assert sum(1 for _ in patterns(rs, hw)) == expected
 
     def test_enumerated_criticality_matches_direct_bounds(self):
         rs = build_root_system(3)
         hw = HighestWeight((2, 1, 2))
         for T, crit in enumerate_decorated(rs, hw):
             assert crit == critical_positions(T, hw)
-            assert is_theta_admissible(T, hw)
 
     def test_enumerated_criticality_matches_under_weight_filter(self):
         rs = build_root_system(4)
@@ -210,26 +339,26 @@ class TestEnumeration:
         rs = build_root_system(3)
         hw = HighestWeight((1, 2, 1))
         by_weight = {}
-        for T in enumerate_patterns(rs, hw):
+        for T in patterns(rs, hw):
             by_weight.setdefault(weight_vector(T), []).append(T)
         for lam, group in by_weight.items():
-            assert list(enumerate_patterns(rs, hw, lam)) == group
+            assert list(patterns(rs, hw, lam)) == group
         total = sum(len(group) for group in by_weight.values())
         assert total == weyl_dimension(rs, hw)
 
     def test_empty_weight_class_is_valid(self):
         rs = build_root_system(3)
         hw = HighestWeight((1, 1, 1))
-        assert list(enumerate_patterns(rs, hw, (50, 0, 0))) == []
+        assert list(patterns(rs, hw, (50, 0, 0))) == []
 
     def test_bounds_monotone_in_weight(self):
         # Raising any m_k never removes a pattern.
         rs = build_root_system(3)
         base = HighestWeight((1, 2, 1))
-        seen = set(T.rows for T in enumerate_patterns(rs, base))
+        seen = set(T.rows for T in patterns(rs, base))
         for k in range(3):
             bigger = HighestWeight(tuple(m + (1 if idx == k else 0) for idx, m in enumerate(base.m)))
-            superset = set(T.rows for T in enumerate_patterns(rs, bigger))
+            superset = set(T.rows for T in patterns(rs, bigger))
             assert seen <= superset
 
     def test_work_units_cover_enumeration_exactly(self):
@@ -239,7 +368,7 @@ class TestEnumeration:
 
         rs = build_root_system(3)
         hw = HighestWeight((2, 1, 2))
-        sequential = sorted(T.rows for T in enumerate_patterns(rs, hw))
+        sequential = sorted(T.rows for T in patterns(rs, hw))
         units = _row_fills(3, hw.m, 1, (0,), 0, 0, None)
         chunks = [units[k::3] for k in range(3)]
         sharded = []
@@ -251,12 +380,12 @@ class TestEnumeration:
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_patterns(build_root_system(3), HighestWeight((1, 1))))
+            list(patterns(build_root_system(3), HighestWeight((1, 1))))
 
     def test_bad_weight_filter_rejected(self):
         rs = build_root_system(3)
         with pytest.raises(ValueError):
-            list(enumerate_patterns(rs, HighestWeight((1, 1, 1)), (1, 2)))
+            list(patterns(rs, HighestWeight((1, 1, 1)), (1, 2)))
 
 
 def _chain_rows(r, i, box):
@@ -287,7 +416,10 @@ class TestRowFillsAgainstBounds:
     admissible and every entry of the row lies under its ``upper_bound``.
     The kept rows, their critical entries (those equal to their bound) and
     the column sums they lead to must be exactly the fills of the prefix's
-    state.  ``step`` thins the prefixes of the largest case.
+    state.  At the last row each candidate makes a whole pattern:
+    ``critical_positions`` must give the reference's critical set when it
+    is kept, and raise the reference's first violation when it is not.
+    ``step`` thins the prefixes of the largest case.
     """
 
     @pytest.mark.parametrize(
@@ -297,7 +429,7 @@ class TestRowFillsAgainstBounds:
     def test_fills_are_the_bounded_admissible_rows(self, r, twist, box, step):
         hw = HighestWeight.from_twist(twist)
         prefixes = {i: set() for i in range(1, r)}
-        for T in enumerate_patterns(build_root_system(r), hw):
+        for T in patterns(build_root_system(r), hw):
             for i in prefixes:
                 prefixes[i].add(T.rows[: i - 1])
         for i in range(1, r):
@@ -321,6 +453,13 @@ class TestRowFillsAgainstBounds:
                         assert max(row) < box - 1, "the box is too small"
                         ps = partial_sums(T, i)
                         expected.append((row, crit, ps.col_pairs, ps.mid_top, ps.mid_bot))
+                    if i == r - 1:
+                        try:
+                            actual = critical_positions(T, hw)
+                        except ValueError as exc:
+                            actual = str(exc)
+                        reference, violation = reference_criticality(T, hw)
+                        assert actual == (reference if violation is None else violation)
                 ps = partial_sums(T, i - 1)
                 fills = _row_fills(r, hw.m, i, ps.col_pairs, ps.mid_top, ps.mid_bot, None)
                 actual = sorted((row, sorted(crit), s, t1, t2) for row, crit, s, t1, t2 in fills)
