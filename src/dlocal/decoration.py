@@ -13,10 +13,14 @@ symmetric exactly when the legs have the same number of vertices, and its
 length is then half the vertex count.
 
 A pattern is strict unless some circled vertex carries the value 0, or
-some component that is not a multiple leaner has an edge whose earlier
-endpoint (in the row-chain order) is circled.  Both kinds of vertex are
-the row's strictness probes, so the rule reads: a pattern is nonstrict
-exactly when one of its circled vertices is a probe.
+some component that is not a symmetric multiple leaner has an edge whose
+earlier endpoint (in the row-chain order) is circled.  Only symmetric
+leaners are exempt: an asymmetric leaner is probed like an ordinary
+component, and exempting it too breaks the n = 1 identity with the
+product over positive roots from rank 5 on (first at (1,1,3,4,2) in D5).
+Both kinds of vertex are the row's strictness probes, so the rule reads:
+a pattern is nonstrict exactly when one of its circled vertices is a
+probe.
 
 Components, probes and the row's weight depend only on the values of one
 row, so ``_row_analysis`` memoizes them per (rank, row index, row values).
@@ -119,8 +123,8 @@ def _row_analysis(
     """Per-row data: (components, strictness probes, weight delta).
 
     The probes are the row's zero entries and the earlier endpoints of
-    every edge inside a component that is not a multiple leaner; circling
-    any of them makes the pattern nonstrict.  The weight delta is this
+    every edge inside a component that is not a symmetric multiple leaner;
+    circling any of them makes the pattern nonstrict.  The weight delta is this
     row's contribution to the weight vector.
     """
     r = rank
@@ -151,7 +155,7 @@ def _row_analysis(
 
     probes = [(i, c) for c in cols if entry(c) == 0]
     for comp in components:
-        if comp.kind != ORDINARY:
+        if comp.kind == ML_SYMMETRIC:
             continue
         colset = set(comp.columns)
         for a, b in row_chain_pairs(rank, i):

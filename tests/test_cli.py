@@ -158,6 +158,23 @@ class TestExplain:
         assert "circled zero" in out
         assert "excluded" in out
 
+    def test_circled_asymmetric_leaner_edge_is_nonstrict(self, capsys):
+        # Row 2's asymmetric leaner has its circled earlier endpoint at
+        # column 3.  Exempting it counted this pattern's p^7 at (1,1,3,4,2),
+        # where D5 n=1 then missed the product over positive roots.
+        code, out, _ = run(
+            capsys,
+            "explain", "--pattern", "2,1,1,0,0,0,0,0;2,1,1,1,1,1;0,0,0,0;0,0",
+            "--twist", "0,0,0,0,0", "--n", "1",
+        )
+        assert code == 0
+        assert "ml_asymmetric" in out
+        assert (
+            "strict: no (circled entry at row 2, column 3 leans on its equal right neighbor)"
+            in out
+        )
+        assert "excluded" in out
+
     def test_contribution_is_pattern_contribution(self, capsys):
         # The two contributing patterns of the published weight class.
         rs = build_root_system(4)

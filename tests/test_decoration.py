@@ -257,7 +257,7 @@ class TestStrictness:
             circled_zero = any(T.entry(i, j) == 0 for i, j in crit)
             probe_hit = False
             for c in comps:
-                if c.kind != ORDINARY:
+                if c.kind == ML_SYMMETRIC:
                     continue
                 colset = set(c.columns)
                 for a, b in row_chain_pairs(T.rank, c.row):

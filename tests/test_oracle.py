@@ -70,6 +70,13 @@ class TestSuites:
         assert any("601" in case.expected for case in report.cases)
         assert any("support" in d for d in descriptions)
 
+    def test_tokuyama_rank5(self):
+        report = check_tokuyama(max_rank=5)
+        assert report.passed, report.to_text()
+        assert "D5 untwisted n=1: local part == root product" in [
+            case.description for case in report.cases
+        ]
+
     def test_rank2(self):
         report = check_rank2(max_twist=2, max_n=3, brute_max_twist=5, brute_max_n=3)
         assert report.passed
