@@ -124,8 +124,8 @@ def _row_analysis(
 
     The probes are the row's zero entries and the earlier endpoints of
     every edge inside a component that is not a symmetric multiple leaner;
-    circling any of them makes the pattern nonstrict.  The weight delta is this
-    row's contribution to the weight vector.
+    circling any of them makes the pattern nonstrict.  The weight delta is
+    this row's contribution to the weight vector.
     """
     r = rank
 

@@ -197,8 +197,8 @@ def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Pos
             bars[j - i] - 2 * T.bar(i, j) + T.entry(i, j + 1) + T.bar(i, j + 1)
             for j in cols
         ]
-        inner = T.bar(i, last) if i <= last else 0
-        bounds = lefts + [top_base + inner, bot_base + inner] + bars[::-1]
+        mid = T.bar(i, last) if i <= last else 0  # the middle pair's in-row term
+        bounds = lefts + [top_base + mid, bot_base + mid] + bars[::-1]
         for c, (value, bound) in enumerate(zip(row, bounds), start=i):
             if value > bound:
                 raise ValueError(

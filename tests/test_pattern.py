@@ -29,8 +29,8 @@ def patterns(rs, hw, weight_filter=None):
 
 # -- a test-only reference for the bounds ---------------------------------------
 #
-# The per-entry formulas of the module docstring, transcribed entry by entry
-# with their own cumulative column sums.  ``_row_fills`` and
+# The per-entry formulas of the ``dlocal.pattern`` docstring, transcribed
+# entry by entry with their own cumulative column sums.  ``_row_fills`` and
 # ``critical_positions`` share one per-row bound routine; the tests below
 # compare both against this independent transcription.
 
@@ -109,7 +109,8 @@ def reference_criticality(T, hw):
     for pos in T.positions():
         value, bound = T.entry(*pos), upper_bound(T, hw, pos)
         if value > bound:
-            return None, f"entry {value} at row {pos[0]}, column {pos[1]} exceeds its bound {bound}"
+            i, j = pos
+            return None, f"entry {value} at row {i}, column {j} exceeds its bound {bound}"
         if value == bound:
             crit.add(pos)
     return frozenset(crit), None
