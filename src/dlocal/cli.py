@@ -77,7 +77,7 @@ def cmd_compute(args) -> int:
     if args.eval_p is not None and (args.coeff is not None or args.format == "json"):
         raise ValueError("--eval-p applies only to the full local part in text format")
     rs = build_root_system(args.rank)
-    part = local_part(rs, hw, n=args.n, weight=args.coeff, jobs=args.jobs)
+    part = local_part(rs, hw, n=args.n, weight=args.coeff)
 
     if args.coeff is not None:
         value = part.coefficient_at(args.coeff)
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--n", type=int, required=True, help="cover degree")
     compute.add_argument("--twist", type=_int_vector, required=True)
     compute.add_argument("--coeff", type=_int_vector, help="print only this coefficient")
-    compute.add_argument("--jobs", type=int, default=0, help="0 = sequential canonical mode")
     compute.add_argument("--format", choices=("text", "json"), default="text")
     compute.add_argument("--output", help="write to this path instead of stdout")
     compute.add_argument(

@@ -209,6 +209,16 @@ class RingElem:
             ],
         }
 
+    def to_json_str(self) -> str:
+        """``to_json_obj`` as compact JSON text, written without building it."""
+        terms = ",".join(
+            f'{{"g":[{",".join(map(str, g))}],"p":['
+            + ",".join(f"[{c},{e}]" for e, c in sorted(poly.items()))
+            + "]}"
+            for g, poly in sorted(self.terms.items())
+        )
+        return f'{{"n":{self.n},"terms":[{terms}]}}'
+
     @classmethod
     def from_json_obj(cls, obj) -> "RingElem":
         return cls(

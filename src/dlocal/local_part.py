@@ -35,14 +35,12 @@ states one row down, and p^|lambda| is applied once per coefficient at
 the end.  A target weight only narrows the fills (``_row_fills`` takes
 it), so a single coefficient and the full local part run the same code.
 
-The state memo is a local dict, fresh per call and per pool chunk, so it
-is freed when the chunk ends and nothing carries over between calls.
-With ``jobs > 1`` the sorted first-row fills are cut into ``jobs``
-contiguous chunks over a process pool.  Neighbouring fills share most of
-their states, so contiguous chunks rebuild few of each other's states:
-for D4, twist (0,1,2,0), n=2, the two chunks of jobs=2 build 169 and 178
-states where one memo builds 247.  The pool keeps the memos and row terms
-out of this process, whose peak memory would otherwise grow.
+The state memo is a local dict, fresh per call, so nothing carries over
+between calls.  The assembly is one pass over the first-row fills with
+one memo, in this process, so every state is built once.  Split over
+worker processes, the fills would rebuild the states they share (D4,
+twist (0,1,2,0), n=2: two halves build 169 + 178 states, one memo 247)
+and pickle their partial sums back.
 
 The row terms, sigma values and small p-powers are cached and shared;
 nothing ever mutates a RingElem, so sharing is safe.  A state's sums are
@@ -53,8 +51,6 @@ never shared before that and never mutated after.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -95,19 +91,24 @@ class LocalPart:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coefficients)
 
-    def to_json_obj(self):
-        return {
-            "rank": self.rank,
-            "n": self.n,
-            "twist": list(self.twist),
-            "coefficients": [
-                {"lambda": list(lam), "value": self.coefficients[lam].to_json_obj()}
-                for lam in self.support()
-            ],
-        }
-
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        """Compact JSON text, written one coefficient at a time.
+
+        The text is what ``json.dumps`` gives, with separators (",", ":"),
+        for {"rank", "n", "twist", "coefficients": [{"lambda", "value"}, ...]}
+        with the coefficients in support order and each value in
+        ``RingElem.to_json_obj`` form; the object tree of the whole part
+        is never built.
+        """
+        coeffs = ",".join(
+            f'{{"lambda":[{",".join(map(str, lam))}],'
+            f'"value":{self.coefficients[lam].to_json_str()}}}'
+            for lam in self.support()
+        )
+        return (
+            f'{{"rank":{self.rank},"n":{self.n},"twist":[{",".join(map(str, self.twist))}],'
+            f'"coefficients":[{coeffs}]}}'
+        )
 
 
 @lru_cache(maxsize=None)
@@ -257,12 +258,6 @@ def _completions(r, m, n, lam, i, s, t1, t2, memo):
     return out
 
 
-def _chunk_worker(args):
-    """Row-factor sums by weight over the given first-row fills, with a fresh memo."""
-    rank, m, n, lam, units = args
-    return _extend(rank, m, n, lam, 1, units, {})
-
-
 def local_part(
     rs: RootSystemD,
     hw: HighestWeight,
@@ -273,13 +268,10 @@ def local_part(
     """Assemble the local part: the sum over strict patterns, state by state.
 
     ``weight`` restricts the computation to a single coefficient.  Every
-    first-row fill is completed by ``_chunk_worker`` through the memoized
-    state sums of ``_completions``, with a fresh memo per chunk: ``jobs``
-    of 0 or 1 runs all fills as one chunk in this process, larger values
-    cut the sorted fills into ``jobs`` contiguous chunks, one per worker
-    process, which keeps the memos out of this process.  The result is
-    independent of the schedule: coefficients are exact, and addition and
-    multiplication commute.
+    first-row fill is completed in this process through the memoized
+    state sums of ``_completions``, with one memo for the call.  ``jobs``
+    changes nothing; it is kept, and still rejected when negative, only
+    because ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
     if n < 1:
         raise ValueError(f"cover degree n must be >= 1, got {n}")
@@ -288,19 +280,7 @@ def local_part(
     lam = _check_args(rs, hw, weight)
     r, m = rs.rank, hw.m
     units = _row_fills(r, m, 1, (0,) * (r - 2), 0, 0, lam)
-    units.sort(key=lambda f: f[0])
-    if jobs > 1:
-        acc: dict[tuple[int, ...], RingElem] = {}
-        cuts = [len(units) * k // jobs for k in range(jobs + 1)]
-        chunks = [units[a:b] for a, b in zip(cuts, cuts[1:])]
-        payload = [(r, m, n, lam, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for partial in pool.map(_chunk_worker, payload):
-                for key, value in partial.items():
-                    prev = acc.get(key)
-                    acc[key] = value if prev is None else prev + value
-    else:
-        acc = _chunk_worker((r, m, n, lam, units))
+    acc = _extend(r, m, n, lam, 1, units, {})
     coeffs = {
         key: _p_pow(sum(key), n) * value for key, value in acc.items() if not value.is_zero
     }

@@ -328,6 +328,13 @@ def _row_fills(r, m, i, s, t1, t2, lam):
             high = cap[j] - b
             if high > bound:
                 high = bound
+            if exact and j == i + 1:
+                # a_{i,i} will be forced to v0 = cap[i] - bar(i, i), which must
+                # lie in [a_{i,i+1}, base[i] + a_{i,i+1} + bar(i, i+1) - 2 bar(i, i)].
+                bi = vals[flip - i]
+                v0 = cap[i] - bi
+                high = min(high, v0)
+                low = max(low, v0 + 2 * bi - base[i] - b)
             k = j - i
             sj = S[j] + b
             for v in range(low, high + 1 if high < bound else bound):

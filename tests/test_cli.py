@@ -51,18 +51,6 @@ class TestCompute:
         assert code == 2
         assert "twist" in err
 
-    def test_json_byte_identical_across_jobs(self, capsys):
-        outputs = []
-        for jobs in ("0", "2"):
-            code, out, _ = run(
-                capsys,
-                "compute", "--rank", "3", "--n", "2", "--twist", "1,0,1",
-                "--format", "json", "--jobs", jobs,
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_eval_p_is_labeled(self, capsys):
         code, out, _ = run(
             capsys,
@@ -304,10 +292,6 @@ def test_missing_subcommand_is_usage_error(capsys):
         pytest.param(
             ["verify", "--suite", "example2", "--output", "/nonexistent/x"],
             id="verify-unwritable-output",
-        ),
-        pytest.param(
-            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--jobs", "-1"],
-            id="negative-jobs",
         ),
         pytest.param(
             ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--eval-p", "2",

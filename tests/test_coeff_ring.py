@@ -1,5 +1,6 @@
 """Exact ring arithmetic, canonical forms, and the Gauss-sum symbols."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,8 @@ class TestCanonicalForm:
             exps = [e for _, e in term["p"]]
             assert exps == sorted(exps)
         assert RingElem.from_json_obj(obj) == elem
+        for value in (elem, RingElem.zero(3)):
+            assert value.to_json_str() == json.dumps(value.to_json_obj(), separators=(",", ":"))
 
     def test_str_forms(self):
         assert str(RingElem.zero(2)) == "0"

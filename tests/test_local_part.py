@@ -176,6 +176,13 @@ class TestAssembly:
             "266ef385423f334de462d779d4e1383c5096e00c26ef9515b93f1df744aa2840"
         )
 
+    def test_untwisted_rank5_json_is_pinned(self):
+        rs = build_root_system(5)
+        text = local_part(rs, HighestWeight.from_twist((0,) * 5), n=3).to_json_str()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f34c66d9f7b3d704c2da990b5b61449bb1efc151ccee0258d91c68c05c70b8cd"
+        )
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize(
         "lam",
@@ -263,6 +270,39 @@ class TestLocalPart:
         rs = build_root_system(2)
         with pytest.raises(ValueError):
             local_part(rs, HighestWeight((1, 1)), n=0)
+
+
+def _reference_json_obj(part):
+    """The object whose ``json.dumps`` the JSON writer must reproduce (test-only)."""
+    return {
+        "rank": part.rank,
+        "n": part.n,
+        "twist": list(part.twist),
+        "coefficients": [
+            {"lambda": list(lam), "value": part.coefficients[lam].to_json_obj()}
+            for lam in part.support()
+        ],
+    }
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "twist, n, weight",
+        [
+            ((0, 0), 1, None),  # n = 1: every g-monomial is empty
+            ((1, 0, 2), 3, None),
+            ((2, 1, 2), 5, None),
+            ((0, 1, 2, 0), 2, None),
+            ((0, 1, 2, 0), 2, (10, 10, 17, 10)),  # a single coefficient
+            ((0, 1, 2, 0), 2, (1, 0, 0, 0)),  # off the support: no coefficients
+        ],
+        ids=["D2-n1", "D3-102-n3", "D3-212-n5", "D4-0120-n2", "D4-single", "D4-empty"],
+    )
+    def test_writer_matches_json_dumps(self, twist, n, weight):
+        rs = build_root_system(len(twist))
+        part = local_part(rs, HighestWeight.from_twist(twist), n, weight=weight)
+        expected = json.dumps(_reference_json_obj(part), separators=(",", ":"))
+        assert part.to_json_str() == expected
 
 
 class TestDeterminism:

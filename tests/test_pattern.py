@@ -337,15 +337,17 @@ class TestEnumeration:
         assert seen == 27
 
     def test_weight_partition_refines_enumeration(self):
-        rs = build_root_system(3)
-        hw = HighestWeight((1, 2, 1))
-        by_weight = {}
-        for T in patterns(rs, hw):
-            by_weight.setdefault(weight_vector(T), []).append(T)
-        for lam, group in by_weight.items():
-            assert list(patterns(rs, hw, lam)) == group
-        total = sum(len(group) for group in by_weight.values())
-        assert total == weyl_dimension(rs, hw)
+        # Untwisted D4 reaches the exact-target bounds on a_{i,i+1}, which
+        # need i+1 <= r-2; D3 never does.
+        for rank, hw in ((3, HighestWeight((1, 2, 1))), (4, HighestWeight((1, 1, 1, 1)))):
+            rs = build_root_system(rank)
+            by_weight = {}
+            for T, crit in enumerate_decorated(rs, hw):
+                by_weight.setdefault(weight_vector(T), []).append((T, crit))
+            for lam, group in by_weight.items():
+                assert list(enumerate_decorated(rs, hw, lam)) == group
+            total = sum(len(group) for group in by_weight.values())
+            assert total == weyl_dimension(rs, hw)
 
     def test_empty_weight_class_is_valid(self):
         rs = build_root_system(3)
@@ -363,8 +365,8 @@ class TestEnumeration:
             assert seen <= superset
 
     def test_work_units_cover_enumeration_exactly(self):
-        # Completions of the first-row fills (the parallel work units) form
-        # the same multiset as sequential enumeration.
+        # Completions of the first-row fills, taken in any grouping, form
+        # the same multiset as enumeration.
         from dlocal.pattern import _complete, _row_fills
 
         rs = build_root_system(3)
