@@ -3,8 +3,8 @@
 One binary with subcommands; every number printed is exact unless the
 explicitly non-canonical --eval-p substitution is requested.  Exit status
 0 on success, 1 when a verification suite fails, 2 on usage errors: bad
-flags, and any ValueError or OSError a subcommand raises on its input or
-its --output path, which ``main`` reports as one ``error:`` line.
+flags and any ValueError or OSError a subcommand raises on its input or
+its --output path, each reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -206,8 +206,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlocal",
         description="Exact local parts of type-D Weyl group multiple Dirichlet series.",
     )

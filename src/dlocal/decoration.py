@@ -24,8 +24,8 @@ probe.
 
 Components, probes and the row's weight depend only on the values of one
 row, so ``_row_analysis`` memoizes them per (rank, row index, row values).
-Assembly reaches it only through ``local_part.row_term``, whose own cache
-adds the row's circled positions and the cover degree to that key.
+``local_part.row_term`` adds the circled positions and the cover degree to
+that key in its own cache; ``strictness_counts`` reads only the probes.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from typing import Optional
 from .pattern import (
     LittelmannPattern,
     Position,
+    _check_args,
+    _state_walk,
     critical_positions,
-    enumerate_decorated,
     row_chain_pairs,
     row_weight,
 )
@@ -79,16 +80,8 @@ def _classify(rank: int, i: int, columns: list[int], value: int) -> Component:
     right = sum(1 for c in columns if c >= r + 1)
     maxcol = columns[-1]
 
-    if maxcol >= r + 1:
-        rightmost = (i, maxcol)
-    elif r - 1 in colset and r in colset:
-        rightmost = (i, r - 1)  # two rightmost vertices: take the upper one
-    elif r in colset:
-        rightmost = (i, r)
-    elif r - 1 in colset:
-        rightmost = (i, r - 1)
-    else:
-        rightmost = (i, maxcol)
+    # Both middle vertices are rightmost when a component ends at r: take the upper.
+    rightmost = (i, r - 1) if maxcol == r and r - 1 in colset else (i, maxcol)
 
     if left >= 1 and right >= 1:
         assert r - 1 in colset and r in colset, "a leaner spans both middle columns"
@@ -205,13 +198,24 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
 
 
 def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[int, int]:
-    """(total, nonstrict) over the bounded patterns, optionally of one weight."""
-    total = nonstrict = 0
-    for T, crit in enumerate_decorated(rs, hw, weight):
-        total += 1
-        if _strictness_failure(T, crit) is not None:
-            nonstrict += 1
-    return total, nonstrict
+    """(total, nonstrict) over the bounded patterns, optionally of one weight.
+
+    A fill passes on its strict completions when it circles no probe of its row.
+    """
+    lam = _check_args(rs, hw, weight)
+    r = rs.rank
+
+    def fold(i, fills, completions):
+        total = strict = 0
+        for row, crit, s, t1, t2 in fills:
+            sub_total, sub_strict = completions(i + 1, s, t1, t2)
+            total += sub_total
+            if sub_strict and set(crit).isdisjoint(_row_analysis(r, i, row)[1]):
+                strict += sub_strict
+        return total, strict
+
+    total, strict = _state_walk(r, hw.m, lam, (1, 1), fold)
+    return total, total - strict
 
 
 # -- rendering ----------------------------------------------------------------

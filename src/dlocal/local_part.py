@@ -26,21 +26,15 @@ row index, row values, circled positions, n), so the rule runs once per
 distinct row.
 
 A row's fills, its term and its weight delta depend only on the row and
-on the state between rows, (i, s[i-2:], t1, t2): the row index, the
-column sums still read by later bounds, and the two middle-column sums.
-That is the memo key of ``count_patterns``.  The assembly therefore never
-visits a single pattern: ``_completions`` maps a state to {weight of rows
-i..r-1: sum of row-factor products over every completion}, built from the
-states one row down, and p^|lambda| is applied once per coefficient at
-the end.  A target weight only narrows the fills (``_row_fills`` takes
-it), so a single coefficient and the full local part run the same code.
-
-The state memo is a local dict, fresh per call, so nothing carries over
-between calls.  The assembly is one pass over the first-row fills with
-one memo, in this process, so every state is built once.  Split over
-worker processes, the fills would rebuild the states they share (D4,
-twist (0,1,2,0), n=2: two halves build 169 + 178 states, one memo 247)
-and pickle their partial sums back.
+the state between rows, so the assembly never visits a single pattern:
+``_extend`` is the fold of ``pattern._state_walk``, mapping a state to
+{weight of rows i..r-1: sum of row-factor products over its completions},
+and p^|lambda| is applied once per coefficient.  A target weight only
+narrows the fills, so a single coefficient and the full local part run
+the same code: one walk in this process, which builds every state once.
+Split over worker processes, the fills would rebuild the states they
+share (D4, twist (0,1,2,0), n=2: two halves build 169 + 178 states, one
+memo 247) and pickle their partial sums back.
 
 The row terms, sigma values and small p-powers are cached and shared;
 nothing ever mutates a RingElem, so sharing is safe.  A state's sums are
@@ -52,7 +46,7 @@ never shared before that and never mutated after.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add
 from typing import Optional
 
@@ -69,7 +63,7 @@ from .pattern import (
     LittelmannPattern,
     Position,
     _check_args,
-    _row_fills,
+    _state_walk,
     critical_positions,
     weight_vector,
 )
@@ -218,7 +212,7 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     return value
 
 
-def _extend(r, m, n, lam, i, fills, memo):
+def _extend(r, n, i, fills, completions):
     """{weight: sum of row-factor products} over ``fills`` of row i, completed.
 
     A fill whose row makes the pattern nonstrict or whose factor is zero
@@ -233,29 +227,13 @@ def _extend(r, m, n, lam, i, fills, memo):
         factor, delta = row_term(r, i, row, crit, n)
         if factor is None or factor.is_zero:
             continue
-        for wt, value in _completions(r, m, n, lam, i + 1, s, t1, t2, memo).items():
+        for wt, value in completions(i + 1, s, t1, t2).items():
             wt = tuple(map(add, wt, delta))
             terms = acc.get(wt)
             if terms is None:
                 terms = acc[wt] = {}
             _mul_add(terms, value.terms, factor.terms)
     return {wt: RingElem._wrap(n, terms) for wt, terms in acc.items() if terms}
-
-
-def _completions(r, m, n, lam, i, s, t1, t2, memo):
-    """``_extend`` over all fills of row i from the state (i, s, t1, t2), memoized.
-
-    The memo key is the state ``count_patterns`` uses: the column sums
-    left of column i-1 are never read again, so they are dropped.
-    """
-    if i == r:
-        return {(0,) * r: _one(n)}
-    key = (i, s[max(i - 2, 0) :], t1, t2)
-    out = memo.get(key)
-    if out is None:
-        fills = _row_fills(r, m, i, s, t1, t2, lam)
-        out = memo[key] = _extend(r, m, n, lam, i, fills, memo)
-    return out
 
 
 def local_part(
@@ -267,9 +245,8 @@ def local_part(
 ) -> LocalPart:
     """Assemble the local part: the sum over strict patterns, state by state.
 
-    ``weight`` restricts the computation to a single coefficient.  Every
-    first-row fill is completed in this process through the memoized
-    state sums of ``_completions``, with one memo for the call.  ``jobs``
+    ``weight`` restricts the computation to a single coefficient; the
+    state sums are ``_state_walk`` with ``_extend`` as its fold.  ``jobs``
     changes nothing; it is kept, and still rejected when negative, only
     because ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
@@ -278,9 +255,8 @@ def local_part(
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     lam = _check_args(rs, hw, weight)
-    r, m = rs.rank, hw.m
-    units = _row_fills(r, m, 1, (0,) * (r - 2), 0, 0, lam)
-    acc = _extend(r, m, n, lam, 1, units, {})
+    r = rs.rank
+    acc = _state_walk(r, hw.m, lam, {(0,) * r: _one(n)}, partial(_extend, r, n))
     coeffs = {
         key: _p_pow(sum(key), n) * value for key, value in acc.items() if not value.is_zero
     }

@@ -48,6 +48,10 @@ from the row chain and its exact upper bound, so the search never
 backtracks over infeasible prefixes.  Row candidates are sorted before
 recursing, which restores the canonical row-major lexicographic order of
 the emitted patterns.
+
+Sums over patterns never list them: ``_state_walk`` is the one memoized
+recursion over the states between rows, and ``count_patterns``,
+``local_part`` and ``decoration.strictness_counts`` each supply its fold.
 """
 
 from __future__ import annotations
@@ -374,6 +378,33 @@ def _row_fills(r, m, i, s, t1, t2, lam):
     return out
 
 
+def _state_walk(r, m, lam, leaf, fold):
+    """Value of the top state of the memoized walk over the states between rows.
+
+    A state (i, s, t1, t2) holds the column and middle-column sums of rows
+    1..i-1.  Its value is ``leaf`` at i == r, else ``fold(i, fills,
+    completions)`` over row i's ``_row_fills`` under ``lam``, where
+    ``completions(i + 1, s, t1, t2)`` is the value of the state a fill leads
+    to.  The key drops the sums left of column i-1: no later bound reads them.
+    """
+    memo: dict = {}
+
+    def completions(i, s, t1, t2):
+        if i == r:
+            return leaf
+        key = (i, s[max(i - 2, 0) :], t1, t2)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fold(i, _row_fills(r, m, i, s, t1, t2, lam), completions)
+        return value
+
+    try:
+        return completions(1, (0,) * (r - 2), 0, 0)
+    finally:
+        # completions refers to itself: free the memo now, not at the next cyclic GC.
+        memo.clear()
+
+
 def _complete(r, m, lam, i, s, t1, t2):
     """Yield (rows, per-row crit tuples) over all completions from row i, sorted."""
     if i == r:
@@ -412,29 +443,13 @@ def enumerate_decorated(
 
 
 def count_patterns(rs: RootSystemD, hw: HighestWeight) -> int:
-    """Number of bounded patterns, without materializing them.
-
-    Counts by dynamic programming over the cumulative-sum state between
-    rows: identical states have identical completion counts, and the sums
-    for columns left of the next row are dropped from the memo key once no
-    later bound can read them.
-    """
+    """Number of bounded patterns, counted per state by ``_state_walk``."""
     _check_args(rs, hw, None)
-    r = rs.rank
-    m = hw.m
-    memo: dict = {}
+    return _state_walk(rs.rank, hw.m, None, 1, _count_fold)
 
-    def rec(i, s, t1, t2):
-        if i == r:
-            return 1
-        key = (i, s[max(i - 2, 0) :], t1, t2)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for _, _, s2, t1n, t2n in _row_fills(r, m, i, s, t1, t2, None):
-            total += rec(i + 1, s2, t1n, t2n)
-        memo[key] = total
-        return total
 
-    return rec(1, (0,) * (r - 2), 0, 0)
+def _count_fold(i, fills, completions):
+    total = 0
+    for _, _, s, t1, t2 in fills:
+        total += completions(i + 1, s, t1, t2)
+    return total

@@ -315,10 +315,19 @@ def test_missing_subcommand_is_usage_error(capsys):
             ["verify", "--suite", "rank2", "--max-twist", "-1"], id="rank2-negative-twist"
         ),
         pytest.param(["verify", "--suite", "rank2", "--max-n", "0"], id="rank2-n-zero"),
+        pytest.param(["compute", "--rank", "2", "--n", "abc", "--twist", "0,0"], id="n-not-int"),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--jobs", "2"],
+            id="unknown-flag",
+        ),
+        pytest.param(["compute", "--rank", "2", "--n", "1"], id="missing-twist"),
+        pytest.param(["verify", "--suite", "nope"], id="unknown-suite"),
+        pytest.param(["compute", "--rank", "2", "--n", "1", "--twist", "0,x"], id="twist-not-int"),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert out == ""

@@ -13,7 +13,13 @@ from dlocal import (
     render_decorated,
     row_chain_pairs,
 )
-from dlocal.decoration import ML_ASYMMETRIC, ML_SYMMETRIC, ORDINARY, _strictness_failure
+from dlocal.decoration import (
+    ML_ASYMMETRIC,
+    ML_SYMMETRIC,
+    ORDINARY,
+    _strictness_failure,
+    strictness_counts,
+)
 
 
 def make_pattern(*rows):
@@ -264,6 +270,45 @@ class TestStrictness:
                     if a in colset and b in colset and (c.row, a) in crit:
                         probe_hit = True
             assert kept == (not circled_zero and not probe_hit)
+
+
+def reference_strictness_counts(rs, hw, weight=None):
+    """(total, nonstrict) by walking every pattern, the way the counts once ran."""
+    total = nonstrict = 0
+    for T, crit in enumerate_decorated(rs, hw, weight):
+        total += 1
+        if _strictness_failure(T, crit) is not None:
+            nonstrict += 1
+    return total, nonstrict
+
+
+class TestStrictnessCounts:
+    @pytest.mark.parametrize(
+        "twist",
+        [(1, 2), (1, 0, 2), (2, 1, 2), (0, 0, 0, 0), (1, 1, 0, 1)],
+    )
+    def test_state_counts_match_pattern_walk(self, twist):
+        rs = build_root_system(len(twist))
+        hw = HighestWeight.from_twist(twist)
+        assert strictness_counts(rs, hw) == reference_strictness_counts(rs, hw)
+
+    @pytest.mark.parametrize(
+        "weight,expected",
+        [((10, 10, 17, 10), (27, 6)), ((1, 0, 0, 0), (1, 0)), ((99, 0, 0, 0), (0, 0))],
+    )
+    def test_weight_classes_match_pattern_walk(self, weight, expected):
+        rs = build_root_system(4)
+        hw = HighestWeight.from_twist((0, 1, 2, 0))
+        assert strictness_counts(rs, hw, weight) == expected
+        assert reference_strictness_counts(rs, hw, weight) == expected
+
+    def test_untwisted_rank5_is_pinned(self):
+        # The pattern walk gave this value too, in about 22 s.
+        rs = build_root_system(5)
+        assert strictness_counts(rs, HighestWeight.from_twist((0,) * 5)) == (
+            1048576,
+            841140,
+        )
 
 
 class TestRender:

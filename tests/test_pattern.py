@@ -15,7 +15,7 @@ from dlocal import (
     weight_vector,
     weyl_dimension,
 )
-from dlocal.pattern import _row_bases, _row_fills
+from dlocal.pattern import _row_bases, _row_fills, _state_walk
 
 
 def zero_pattern(r):
@@ -320,6 +320,22 @@ class TestEnumeration:
         expected = weyl_dimension(rs, hw)
         assert count_patterns(rs, hw) == expected
         assert sum(1 for _ in patterns(rs, hw)) == expected
+
+    def test_state_walk_frees_its_memo(self):
+        seen = []
+
+        def fold(i, fills, completions):
+            seen.append(completions)
+            return sum(completions(i + 1, s, t1, t2) for _, _, s, t1, t2 in fills)
+
+        hw = HighestWeight.from_twist((1, 0, 2))
+        assert _state_walk(3, hw.m, None, 1, fold) == count_patterns(build_root_system(3), hw)
+        memos = [
+            cell.cell_contents
+            for cell in seen[0].__closure__
+            if isinstance(cell.cell_contents, dict)
+        ]
+        assert memos == [{}]
 
     def test_enumerated_criticality_matches_direct_bounds(self):
         rs = build_root_system(3)
