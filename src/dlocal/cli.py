@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -50,7 +51,12 @@ def _write(text: str, path) -> None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: let shutdown's flush go to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _highest_weight(rank: int, twist) -> HighestWeight:
@@ -193,7 +199,8 @@ def cmd_verify(args) -> int:
         reports = [check_tokuyama(max_rank=args.max_rank)]
     elif args.suite == "rank2":
         max_twist = 3 if args.max_twist is None else args.max_twist
-        reports = [check_rank2(max_twist=max_twist, max_n=args.max_n)]
+        reports = [check_rank2(max_twist, args.max_n, brute_max_twist=max(10, max_twist),
+                               brute_max_n=max(6, args.max_n))]
     elif args.suite == "example2":
         reports = [check_example2()]
     else:

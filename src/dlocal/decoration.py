@@ -37,6 +37,7 @@ from typing import Optional
 from .pattern import (
     LittelmannPattern,
     Position,
+    _below,
     _check_args,
     _state_walk,
     critical_positions,
@@ -200,22 +201,21 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
 def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[int, int]:
     """(total, nonstrict) over the bounded patterns, optionally of one weight.
 
-    A fill passes on its strict completions when it circles no probe of its row.
+    A fill passes a state's strict count on only when it circles no probe of its row.
     """
     lam = _check_args(rs, hw, weight)
     r = rs.rank
 
-    def fold(i, fills, completions):
-        total = strict = 0
-        for row, crit, s, t1, t2 in fills:
-            sub_total, sub_strict = completions(i + 1, s, t1, t2)
-            total += sub_total
-            if sub_strict and set(crit).isdisjoint(_row_analysis(r, i, row)[1]):
-                strict += sub_strict
-        return total, strict
+    def push(i, fills, moves, below):
+        passes = [set(f[1]).isdisjoint(_row_analysis(r, i, f[0])[1]) for f in fills]
+        for (S, t1, t2), (total, strict) in moves:
+            for passed, state in zip(passes, _below(S, t1, t2, fills)):
+                t, s = below.get(state, (0, 0))
+                below[state] = t + total, s + strict if passed else s
 
-    total, strict = _state_walk(r, hw.m, lam, (1, 1), fold)
-    return total, total - strict
+    counts = _state_walk(r, hw.m, lam, (1, 1), push).values()
+    total = sum(c[0] for c in counts)
+    return total, total - sum(c[1] for c in counts)
 
 
 # -- rendering ----------------------------------------------------------------

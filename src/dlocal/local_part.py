@@ -25,29 +25,19 @@ contributions; the assembly and ``pattern_contribution`` (which
 row index, row values, circled positions, n), so the rule runs once per
 distinct row.
 
-A row's fills, its term and its weight delta depend only on the row and
-the state between rows, so the assembly never visits a single pattern:
-``_extend`` is the fold of ``pattern._state_walk``, mapping a state to
-{weight of rows i..r-1: sum of row-factor products over its completions},
-and p^|lambda| is applied once per coefficient.  A target weight only
-narrows the fills, so a single coefficient and the full local part run
-the same code: one walk in this process, which builds every state once.
-Split over worker processes, the fills would rebuild the states they
-share (D4, twist (0,1,2,0), n=2: two halves build 169 + 178 states, one
-memo 247) and pickle their partial sums back.
-
-The row terms, sigma values and small p-powers are cached and shared;
-nothing ever mutates a RingElem, so sharing is safe.  A state's sums are
-accumulated in private term dicts by the ring's multiply-add kernel and
-each is wrapped in a RingElem once, when the state is done; the dicts are
-never shared before that and never mutated after.
+A row's fills and its term depend only on the row and the state above
+it, so the assembly never visits a single pattern: ``_extend`` is the push
+of ``pattern._state_walk``, and p^|lambda| is applied once per coefficient.
+A target weight only narrows the fills, so a single coefficient and the
+full local part run the same code.  The row terms, sigma values and small
+p-powers are cached and shared; nothing mutates a RingElem or a term dict
+once formed, so sharing is safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from operator import add
 from typing import Optional
 
 from .coeff_ring import RingElem, _mul_add, gauss_symbol
@@ -62,6 +52,7 @@ from .decoration import (
 from .pattern import (
     LittelmannPattern,
     Position,
+    _below,
     _check_args,
     _state_walk,
     critical_positions,
@@ -212,28 +203,43 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     return value
 
 
-def _extend(r, n, i, fills, completions):
-    """{weight: sum of row-factor products} over ``fills`` of row i, completed.
+def _extend(r, n, i, fills, moves, below):
+    """Push each state's sums along the strict fills of row i.
 
-    A fill whose row makes the pattern nonstrict or whose factor is zero
-    is dropped; every other fill scales the completions of the state it
-    leads to by its factor and shifts their weights by its delta.  The
-    weights are those of rows i..r-1 only; weights whose sum cancels to
-    zero are left out.  The sums are built in private term dicts, one
-    multiply-add per (fill, completion), and wrapped once at the end.
+    Nonstrict and zero-factor fills are skipped.  With no fill left the
+    group's sums are never formed (half the states of a single-coefficient
+    query end so); else each state's sums, S[0] appended to each key, go
+    with each fill's factor to the state the fill leads to.
     """
-    acc: dict[tuple[int, ...], dict] = {}
-    for row, crit, s, t1, t2 in fills:
-        factor, delta = row_term(r, i, row, crit, n)
-        if factor is None or factor.is_zero:
-            continue
-        for wt, value in completions(i + 1, s, t1, t2).items():
-            wt = tuple(map(add, wt, delta))
-            terms = acc.get(wt)
-            if terms is None:
-                terms = acc[wt] = {}
-            _mul_add(terms, value.terms, factor.terms)
-    return {wt: RingElem._wrap(n, terms) for wt, terms in acc.items() if terms}
+    kept, factors = [], []
+    for fill in fills:
+        factor = row_term(r, i, fill[0], fill[1], n)[0]
+        if factor is not None and factor.terms:
+            kept.append(fill)
+            factors.append(factor.terms)
+    if not kept:
+        return
+    for (S, t1, t2), pushed in moves:
+        items = [(key + (S[0],), terms) for key, terms in _sums(pushed).items() if terms]
+        for state, factor in zip(_below(S, t1, t2, kept), factors):
+            below.setdefault(state, []).append((items, factor))
+
+
+def _sums(pushed):
+    """A state's {finished column sums: terms} from the (items, factor) pushed in.
+
+    A key lists the column sums that left the walk above the state, S(0) = 0
+    first; its terms, built privately by the ring's multiply-add kernel, sum
+    the rows' factor products.  Callers drop entries that cancelled.
+    """
+    value: dict = {}
+    for items, factor in pushed:
+        for key, terms in items:
+            out = value.get(key)
+            if out is None:
+                out = value[key] = {}
+            _mul_add(out, terms, factor)
+    return value
 
 
 def local_part(
@@ -246,9 +252,10 @@ def local_part(
     """Assemble the local part: the sum over strict patterns, state by state.
 
     ``weight`` restricts the computation to a single coefficient; the
-    state sums are ``_state_walk`` with ``_extend`` as its fold.  ``jobs``
-    changes nothing; it is kept, and still rejected when negative, only
-    because ``bench/child.py`` and ``bench/check_bench.py`` pass it.
+    state sums are ``_state_walk`` with ``_extend`` as its push, and the
+    weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
+    nothing; it is kept, and still rejected when negative, only because
+    ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
     if n < 1:
         raise ValueError(f"cover degree n must be >= 1, got {n}")
@@ -256,8 +263,12 @@ def local_part(
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     lam = _check_args(rs, hw, weight)
     r = rs.rank
-    acc = _state_walk(r, hw.m, lam, {(0,) * r: _one(n)}, partial(_extend, r, n))
-    coeffs = {
-        key: _p_pow(sum(key), n) * value for key, value in acc.items() if not value.is_zero
-    }
+    unit = _one(n).terms
+    pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], partial(_extend, r, n))
+    coeffs = {}
+    for (_, t1, t2), value in pushed.items():
+        for key, terms in _sums(value).items():
+            if terms:
+                wt = (t1, t2) + key[:0:-1]
+                coeffs[wt] = _p_pow(sum(wt), n) * RingElem._wrap(n, terms)
     return LocalPart(rank=r, n=n, twist=hw.twist, coefficients=coeffs)

@@ -35,9 +35,9 @@ dimension suite: the number of bounded patterns must equal the Weyl
 dimension for every tested highest weight.
 
 The bounds are computed per row in one place: ``_row_bases`` maps the
-state above row i, (S(., i-1), T1(i-1), T2(i-1)), to the row's bounds
-without their in-row terms.  ``_row_fills`` adds those terms as it places
-the entries, and ``critical_positions`` as it replays a given pattern.
+state above row i, (S(i-1..r-2, i-1), T1(i-1), T2(i-1)), to the row's
+bounds without their in-row terms.  ``_row_fills`` adds those terms as it
+places the entries, and ``critical_positions`` as it replays a pattern.
 
 Enumeration fills rows top to bottom.  Within a row the only order in
 which every bound is available as soon as its entry is placed is right to
@@ -49,9 +49,10 @@ backtracks over infeasible prefixes.  Row candidates are sorted before
 recursing, which restores the canonical row-major lexicographic order of
 the emitted patterns.
 
-Sums over patterns never list them: ``_state_walk`` is the one memoized
-recursion over the states between rows, and ``count_patterns``,
-``local_part`` and ``decoration.strictness_counts`` each supply its fold.
+Sums over patterns never list them: ``_state_walk`` pushes values down
+the states between rows one row at a time, filling a row once per group
+of states with equal bounds, and ``count_patterns``, ``local_part`` and
+``decoration.strictness_counts`` each supply its push.
 """
 
 from __future__ import annotations
@@ -100,12 +101,9 @@ class LittelmannPattern:
         """bar(i,j) = a_{i, 2r-1-j}."""
         return self.rows[i - 1][2 * self.rank - 1 - j - i]
 
-    def row_columns(self, i: int) -> range:
-        return range(i, 2 * self.rank - i)
-
     def positions(self) -> Iterator[Position]:
         for i in range(1, self.rank):
-            for j in self.row_columns(i):
+            for j in range(i, 2 * self.rank - i):
                 yield (i, j)
 
     def is_admissible(self) -> bool:
@@ -145,22 +143,25 @@ class LittelmannPattern:
 # -- bounds and criticality ---------------------------------------------------
 
 
-def _row_bases(r, m, i, S, t1, t2):
+def _row_bases(r, m, i, S, t1, t2, lam=None):
     """Row i's bounds without their in-row terms, from the state above it.
 
-    ``S[c]`` is S(c, i-1) for c = 1..r-2 and ``S[0]`` = 0; ``t1``, ``t2`` are
-    T1(i-1), T2(i-1).  Returns (base, top_base, bot_base): for j = i..r-2,
-    base[j] + bar(i, j-1) bounds bar(i, j), and base[j] - 2 bar(i, j)
-    + bar(i, j-1) + (a_{i,j+1} + bar(i, j+1), or the middle pair for
-    j = r-2) bounds a_{i,j}; top_base and bot_base plus bar(i, r-2) bound
-    a_{i,r-1} and a_{i,r}.  An in-row term outside row i is 0.
+    ``S[k]`` is S(i-1+k, i-1) for k = 0..r-1-i (S(0, .) = 0), ``t1``, ``t2``
+    are T1(i-1), T2(i-1).  Returns (bases, top_base, bot_base, caps), the
+    arguments of ``_row_fills`` after (r, i): for j = i+k <= r-2, bases[k] +
+    bar(i, j-1) bounds bar(i, j), and bases[k] - 2 bar(i, j) + bar(i, j-1) +
+    (a_{i,j+1} + bar(i, j+1), or the middle pair for j = r-2) bounds a_{i,j};
+    top_base and bot_base plus bar(i, r-2) bound a_{i,r-1} and a_{i,r}, an
+    in-row term outside row i being 0.  caps is None without a target
+    ``lam``, else (lam - S for columns i..r-2, lam - T1, lam - T2).
     """
-    last = r - 2
-    smid = t1 + t2
-    base = [0] * (last + 1)
-    for j in range(i, last + 1):
-        base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else smid)
-    return base, m[1] + S[last] - 2 * t1, m[0] + S[last] - 2 * t2
+    cols = range(r - 1 - i)
+    ext = S + (t1 + t2,)
+    bases = tuple(m[r - i - k] + ext[k] - 2 * ext[k + 1] + ext[k + 2] for k in cols)
+    caps = None
+    if lam is not None:
+        caps = tuple(lam[r - i - k] - S[k + 1] for k in cols), lam[0] - t1, lam[1] - t2
+    return bases, m[1] + S[-1] - 2 * t1, m[0] + S[-1] - 2 * t2, caps
 
 
 @lru_cache(maxsize=None)
@@ -191,12 +192,12 @@ def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Pos
     w = (0,) * r  # weight of the rows above row i
     crit = []
     for i, row in enumerate(T.rows, start=1):
-        S = (0,) + tuple(w[r - c] for c in range(1, r - 1))
-        base, top_base, bot_base = _row_bases(r, hw.m, i, S, w[0], w[1])
+        S = tuple(w[r - c] if c else 0 for c in range(i - 1, r - 1))
+        bases, top_base, bot_base, _ = _row_bases(r, hw.m, i, S, w[0], w[1])
         cols = range(i, last + 1)
         # bars[k] bounds bar(i, i+k), lefts[k] bounds a_{i,i+k}; bar(i, r-1)
         # is a_{i,r}, so a_{i,j+1} + bar(i, j+1) is the middle pair at j = r-2.
-        bars = [base[j] + (T.bar(i, j - 1) if j > i else 0) for j in cols]
+        bars = [bases[j - i] + (T.bar(i, j - 1) if j > i else 0) for j in cols]
         lefts = [
             bars[j - i] - 2 * T.bar(i, j) + T.entry(i, j + 1) + T.bar(i, j + 1)
             for j in cols
@@ -240,74 +241,63 @@ def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
 _NO_CAP = 1 << 62  # the cap of every column when no target weight is given
 
 
-def _row_fills(r, m, i, s, t1, t2, lam):
-    """Return (row, crit, new_s, new_t1, new_t2) for every valid fill of row i.
+def _row_fills(r, i, bases, top_base, bot_base, caps=None):
+    """Return (row, crit, ds, d1, d2) for every valid fill of row i.
 
-    ``s`` carries S(c, i-1) at index c-1; entries for columns c < i-1 are
-    never read.  ``lam`` is an optional target weight: when set, column
-    capacities prune the fill and the last row contributing to a column is
-    forced to land exactly on the target.
-
-    Entries are placed right to left as the module docstring describes,
-    into ``vals`` (vals[c-i] = a_{i,c}); ``crit`` lists the critical
+    The arguments after (r, i) are ``_row_bases`` of any state above row i
+    with these bounds.  Caps prune the fill, and the last row adding to a
+    column must land exactly on the target.  ds[k] = a_{i,i+k} + bar(i,i+k)
+    adds to S(i+k, .); d1, d2 are a_{i,r-1}, a_{i,r}.  Entries are placed
+    right to left as the module docstring describes, into ``vals`` (vals[k]
+    = a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``crit`` lists the critical
     positions in placement order.  A bound is met only by the largest value
-    of its range, so each loop runs the uncritical values and then the
-    critical one.
+    of its range, so each loop runs the uncritical values, then that one.
     """
-    last = r - 2  # index of the innermost bar, and column of the first left entry
-    S = (0,) + s  # S[c] = S(c, i-1)
-    base, top_base, bot_base = _row_bases(r, m, i, S, t1, t2)
+    mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
     out = []
-    if i > last:  # the last row holds only the middle pair
-        if lam is None:
+    if mid == 0:  # the last row holds only the middle pair
+        if caps is None:
             tops, bots = range(top_base + 1), range(bot_base + 1)
         else:
-            top, bot = lam[0] - t1, lam[1] - t2
+            _, top, bot = caps
             tops = (top,) if 0 <= top <= top_base else ()
             bots = (bot,) if 0 <= bot <= bot_base else ()
         for top in tops:
             top_crit = ((i, r - 1),) if top == top_base else ()
             for bot in bots:
                 crit = top_crit + ((i, r),) if bot == bot_base else top_crit
-                out.append(((top, bot), crit, s, t1 + top, t2 + bot))
+                out.append(((top, bot), crit, (), top, bot))
         return out
 
-    exact = lam is not None
-    # cap[j] is what the target leaves for column j: it caps bar(i, j), and
-    # cap[j] - bar(i, j) caps a_{i,j}.
-    cap = [_NO_CAP] * (last + 1)
-    if exact:
-        for j in range(i, last + 1):
-            cap[j] = lam[r - j] - S[j]
-    top_cap = lam[0] - t1 if exact else _NO_CAP
-    bot_cap = lam[1] - t2 if exact else _NO_CAP
-    flip = 2 * r - 1 - i  # bar(i, j) sits at vals[flip - j]
-    mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
-    vals = [0] * (2 * (r - i))
-    sums = list(s)  # sums[c-1] = S(c, i) once column c of this row is placed
+    exact = caps is not None
+    # cap[k] caps bar(i, i+k), and cap[k] - bar(i, i+k) caps a_{i,i+k}.
+    cap, top_cap, bot_cap = caps if exact else ((_NO_CAP,) * mid, _NO_CAP, _NO_CAP)
+    size = 2 * mid + 2
+    vals = [0] * size
+    ds = [0] * mid
     crit = []
 
-    def fill_bars(j, prev):
-        if j > last:
+    def fill_bars(k, prev):
+        if k == mid:
             fill_mid(prev)
             return
-        bound = base[j] + prev
-        high = cap[j] if cap[j] < bound else bound
-        k = flip - j
+        bound = bases[k] + prev
+        high = cap[k] if cap[k] < bound else bound
+        x = size - 1 - k
         for v in range(prev, high + 1 if high < bound else bound):
-            vals[k] = v
-            fill_bars(j + 1, v)
+            vals[x] = v
+            fill_bars(k + 1, v)
         if high == bound >= prev:
-            vals[k] = bound
-            crit.append((i, k + i))
-            fill_bars(j + 1, bound)
+            vals[x] = bound
+            crit.append((i, i + x))
+            fill_bars(k + 1, bound)
             crit.pop()
 
     def fill_mid(low):
         top_bound = top_base + low
         bot_bound = bot_base + low
-        top_high = min(top_bound, top_cap)
-        bot_high = min(bot_bound, bot_cap)
+        top_high = top_cap if top_cap < top_bound else top_bound
+        bot_high = bot_cap if bot_cap < bot_bound else bot_bound
         for top in range(low, top_high + 1):
             vals[mid] = top
             if top == top_bound:
@@ -317,103 +307,96 @@ def _row_fills(r, m, i, s, t1, t2, lam):
                 floor = top if top > bot else bot
                 if bot == bot_bound:
                     crit.append((i, r))
-                    fill_left(last, floor, top + bot)
+                    fill_left(mid - 1, floor, top + bot)
                     crit.pop()
                 else:
-                    fill_left(last, floor, top + bot)
+                    fill_left(mid - 1, floor, top + bot)
             if top == top_bound:
                 crit.pop()
 
-    def fill_left(j, low, inner):
-        # inner: a_{i,j+1} + bar(i, j+1), or the middle pair's sum for j = last
-        b = vals[flip - j]
-        if j > i:
-            bound = base[j] + inner - 2 * b + vals[flip - j + 1]
-            high = cap[j] - b
+    def fill_left(k, low, inner):
+        # inner: a_{i,j+1} + bar(i, j+1) for j = i+k, or the middle pair's sum
+        b = vals[size - 1 - k]
+        if k:
+            bound = bases[k] + inner - 2 * b + vals[size - k]
+            high = cap[k] - b
             if high > bound:
                 high = bound
-            if exact and j == i + 1:
-                # a_{i,i} will be forced to v0 = cap[i] - bar(i, i), which must
-                # lie in [a_{i,i+1}, base[i] + a_{i,i+1} + bar(i, i+1) - 2 bar(i, i)].
-                bi = vals[flip - i]
-                v0 = cap[i] - bi
-                high = min(high, v0)
-                low = max(low, v0 + 2 * bi - base[i] - b)
-            k = j - i
-            sj = S[j] + b
+            if exact and k == 1:
+                # a_{i,i} will be forced to v0 = cap[0] - bar(i, i), which must
+                # lie in [a_{i,i+1}, bases[0] + a_{i,i+1} + bar(i, i+1) - 2 bar(i, i)].
+                bi = vals[size - 1]
+                v0 = cap[0] - bi
+                high = v0 if v0 < high else high
+                low = max(low, v0 + 2 * bi - bases[0] - b)
             for v in range(low, high + 1 if high < bound else bound):
                 vals[k] = v
-                sums[j - 1] = sj + v
-                fill_left(j - 1, v, v + b)
+                ds[k] = v + b
+                fill_left(k - 1, v, v + b)
             if high == bound >= low:
                 vals[k] = bound
-                sums[j - 1] = sj + bound
-                crit.append((i, j))
-                fill_left(j - 1, bound, bound + b)
+                ds[k] = bound + b
+                crit.append((i, i + k))
+                fill_left(k - 1, bound, bound + b)
                 crit.pop()
             return
-        bound = base[i] + inner - 2 * b
+        bound = bases[0] + inner - 2 * b
         if exact:
-            v = cap[i] - b
+            v = cap[0] - b
             if not low <= v <= bound:
                 return
             values = (v,)
         else:
             values = range(low, bound + 1)
         row_crit = tuple(crit)
-        new_t1, new_t2 = t1 + vals[mid], t2 + vals[mid + 1]
-        si = S[i] + b
+        d1, d2 = vals[mid], vals[mid + 1]
         for v in values:
             vals[0] = v
-            sums[i - 1] = si + v
-            out.append((
-                tuple(vals),
-                row_crit + ((i, i),) if v == bound else row_crit,
-                tuple(sums),
-                new_t1,
-                new_t2,
-            ))
+            ds[0] = v + b
+            crit_v = row_crit + ((i, i),) if v == bound else row_crit
+            out.append((tuple(vals), crit_v, tuple(ds), d1, d2))
 
-    fill_bars(i, 0)
+    fill_bars(0, 0)
     return out
 
 
-def _state_walk(r, m, lam, leaf, fold):
-    """Value of the top state of the memoized walk over the states between rows.
+def _below(S, t1, t2, fills):
+    """The states below row i that ``fills`` lead to from the state (S, t1, t2)."""
+    tail = S[1:]
+    return [(tuple(map(add, tail, ds)), t1 + d1, t2 + d2) for _, _, ds, d1, d2 in fills]
 
-    A state (i, s, t1, t2) holds the column and middle-column sums of rows
-    1..i-1.  Its value is ``leaf`` at i == r, else ``fold(i, fills,
-    completions)`` over row i's ``_row_fills`` under ``lam``, where
-    ``completions(i + 1, s, t1, t2)`` is the value of the state a fill leads
-    to.  The key drops the sums left of column i-1: no later bound reads them.
+
+def _state_walk(r, m, lam, start, push):
+    """{state below the last row: value}, pushed down from {top state: start}.
+
+    The state (S, t1, t2) above row i holds S(i-1..r-2, i-1), T1(i-1) and
+    T2(i-1), all that the bounds of rows i.. read.  At row i the states are
+    grouped by ``_row_bases`` under ``lam``; per group, ``_row_fills`` runs
+    once and ``push(i, fills, moves, below)`` adds the value of each (state,
+    value) move, passed along each fill (``_below``), into ``below`` {state
+    below row i: value}.  S(i-1, i-1) = S[0] leaves the state there.  Two
+    levels are held at once; a value is dropped once pushed, or with its level.
     """
-    memo: dict = {}
-
-    def completions(i, s, t1, t2):
-        if i == r:
-            return leaf
-        key = (i, s[max(i - 2, 0) :], t1, t2)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fold(i, _row_fills(r, m, i, s, t1, t2, lam), completions)
-        return value
-
-    try:
-        return completions(1, (0,) * (r - 2), 0, 0)
-    finally:
-        # completions refers to itself: free the memo now, not at the next cyclic GC.
-        memo.clear()
+    level = {((0,) * (r - 1), 0, 0): start}
+    for i in range(1, r):
+        groups: dict = {}
+        for state in level:
+            groups.setdefault(_row_bases(r, m, i, *state, lam), []).append(state)
+        below: dict = {}
+        for bounds, states in groups.items():
+            push(i, _row_fills(r, i, *bounds), ((s, level.pop(s)) for s in states), below)
+        level = below
+    return level
 
 
-def _complete(r, m, lam, i, s, t1, t2):
+def _complete(r, m, lam, i, S, t1, t2):
     """Yield (rows, per-row crit tuples) over all completions from row i, sorted."""
     if i == r:
         yield (), ()
         return
-    fills = _row_fills(r, m, i, s, t1, t2, lam)
-    fills.sort(key=lambda f: f[0])
-    for row, crit, s2, t1n, t2n in fills:
-        for rest_rows, rest_crit in _complete(r, m, lam, i + 1, s2, t1n, t2n):
+    fills = sorted(_row_fills(r, i, *_row_bases(r, m, i, S, t1, t2, lam)))
+    for (row, crit, *_), state in zip(fills, _below(S, t1, t2, fills)):
+        for rest_rows, rest_crit in _complete(r, m, lam, i + 1, *state):
             yield (row,) + rest_rows, (crit,) + rest_crit
 
 
@@ -437,7 +420,7 @@ def enumerate_decorated(
     """
     weight_filter = _check_args(rs, hw, weight_filter)
     r = rs.rank
-    for rows, crit in _complete(r, hw.m, weight_filter, 1, (0,) * (r - 2), 0, 0):
+    for rows, crit in _complete(r, hw.m, weight_filter, 1, (0,) * (r - 1), 0, 0):
         circled = frozenset(pos for row_crit in crit for pos in row_crit)
         yield LittelmannPattern(rank=r, rows=rows), circled
 
@@ -445,11 +428,10 @@ def enumerate_decorated(
 def count_patterns(rs: RootSystemD, hw: HighestWeight) -> int:
     """Number of bounded patterns, counted per state by ``_state_walk``."""
     _check_args(rs, hw, None)
-    return _state_walk(rs.rank, hw.m, None, 1, _count_fold)
+    return sum(_state_walk(rs.rank, hw.m, None, 1, _count_push).values())
 
 
-def _count_fold(i, fills, completions):
-    total = 0
-    for _, _, s, t1, t2 in fills:
-        total += completions(i + 1, s, t1, t2)
-    return total
+def _count_push(i, fills, moves, below):
+    for (S, t1, t2), value in moves:
+        for state in _below(S, t1, t2, fills):
+            below[state] = below.get(state, 0) + value

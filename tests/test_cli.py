@@ -1,9 +1,13 @@
 """Command-line behavior: outputs, formats, and exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dlocal
 from dlocal import (
     HighestWeight,
     build_root_system,
@@ -260,6 +264,15 @@ class TestVerify:
         assert code == 0
         assert ranks == [5]
 
+    def test_rank2_flags_only_widen_the_rank1_grid(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "rank2", "--max-twist", "0", "--max-n", "1")
+        assert code == 0
+        assert out.count("rank-1 twist") == 11 * 6  # the default grid, twist <= 10, n <= 6
+        code, out, _ = run(capsys, "verify", "--suite", "rank2", "--max-twist", "0", "--max-n", "7")
+        assert code == 0
+        assert "[PASS] rank-1 twist 0 n=7: closed form == brute force" in out
+        assert out.count("rank-1 twist") == 11 * 7
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code = main(["verify", "--suite", "nope"])
         capsys.readouterr()
@@ -331,3 +344,22 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader leaves after 100 bytes of a 127 kB text, more than a pipe
+    # holds: no error line, no "Exception ignored" at shutdown, status 0.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dlocal.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [
+        sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "dlocal.cli",
+        "compute", "--rank", "4", "--n", "2", "--twist", "0,1,2,0",
+    ]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0
+    assert err == b""

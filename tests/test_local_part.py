@@ -183,6 +183,19 @@ class TestAssembly:
             "f34c66d9f7b3d704c2da990b5b61449bb1efc151ccee0258d91c68c05c70b8cd"
         )
 
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "321aed3619096cd8ab192bf0cfee8ba54712eaff839efc99e0b370a98284e0cb"),
+            (2, "75c3b95c74df04691507ace6df38a2e0e03503394b50fc12c674bcfeca4b3344"),
+        ],
+    )
+    def test_untwisted_rank5_json_is_pinned_at_low_n(self, n, digest):
+        # sha256 of the JSON that the backward memoized walk produced.
+        rs = build_root_system(5)
+        text = local_part(rs, HighestWeight.from_twist((0,) * 5), n=n).to_json_str()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize(
         "lam",

@@ -1,7 +1,9 @@
 """Pattern shapes, bounds, criticality, weights, and enumeration."""
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import add
 
 import pytest
 
@@ -12,10 +14,11 @@ from dlocal import (
     count_patterns,
     critical_positions,
     enumerate_decorated,
+    local_part,
     weight_vector,
     weyl_dimension,
 )
-from dlocal.pattern import _row_bases, _row_fills, _state_walk
+from dlocal.pattern import _below, _complete, _row_bases, _row_fills, _state_walk
 
 
 def zero_pattern(r):
@@ -117,16 +120,18 @@ def reference_criticality(T, hw):
 
 
 def fill_states(T, hw):
-    """The state (s, t1, t2) after each row of T, read off ``_row_fills``.
+    """The state (S, t1, t2) after each row of T, read off ``_row_fills``.
 
-    T's weight is the fills' target, which keeps them few.
+    The state below row i holds S(i..r-2, i), T1(i) and T2(i); the one above
+    row 1 also holds S(0, 0) = 0.  T's weight is the fills' target, which
+    keeps them few.
     """
     r = T.rank
-    state = ((0,) * (r - 2), 0, 0)
+    state = ((0,) * (r - 1), 0, 0)
     states = [state]
     for i, row in enumerate(T.rows, start=1):
-        fills = _row_fills(r, hw.m, i, *state, weight_vector(T))
-        (state,) = [f[2:] for f in fills if f[0] == row]
+        fills = _row_fills(r, i, *_row_bases(r, hw.m, i, *state, weight_vector(T)))
+        (state,) = [st for f, st in zip(fills, _below(*state, fills)) if f[0] == row]
         states.append(state)
     return states
 
@@ -178,48 +183,47 @@ class TestShape:
 class TestPartialSums:
     def test_displayed_formulas(self):
         T = LittelmannPattern.from_string("3,2,2,1,1,1;2,1,1,1;1,0")
-        s, t1, t2 = fill_states(T, HighestWeight((9, 9, 9, 9)))[2]
-        # S(c, 2) sums a_{k,c} + bar(k,c) over rows k <= min(2, c).
-        assert s[0] == T.entry(1, 1) + T.bar(1, 1)
-        assert s[1] == (
-            T.entry(1, 2) + T.bar(1, 2) + T.entry(2, 2) + T.bar(2, 2)
-        )
+        states = fill_states(T, HighestWeight((9, 9, 9, 9)))
+        (s1, _, _), (s2, t1, t2) = states[1], states[2]
+        # S(c, i) sums a_{k,c} + bar(k,c) over rows k <= min(i, c); the state
+        # below row i keeps the columns c >= i only.
+        assert s1 == (T.entry(1, 1) + T.bar(1, 1), T.entry(1, 2) + T.bar(1, 2))
+        assert s2 == (T.entry(1, 2) + T.bar(1, 2) + T.entry(2, 2) + T.bar(2, 2),)
         assert t1 == T.entry(1, 3) + T.entry(2, 3)
         assert t2 == T.entry(1, 4) + T.entry(2, 4)
         ps = partial_sums(T, 2)
-        assert (ps.col_pairs, ps.mid_top, ps.mid_bot) == (s, t1, t2)
+        assert (ps.col_pairs[1:], ps.mid_top, ps.mid_bot) == (s2, t1, t2)
 
     def test_empty_prefix_is_zero(self):
         states = fill_states(zero_pattern(4), HighestWeight((1, 1, 1, 1)))
-        assert states == [((0, 0), 0, 0)] * 4
+        assert states == [((0, 0, 0), 0, 0), ((0, 0), 0, 0), ((0,), 0, 0), ((), 0, 0)]
 
 
 class TestUpperBound:
     """Hand-computed bounds from ``_row_bases``, the one bound routine."""
 
     def test_rank2_bounds_are_the_weights(self):
-        _, top, bot = _row_bases(2, (4, 7), 1, (0,), 0, 0)
+        _, top, bot, _ = _row_bases(2, (4, 7), 1, (0,), 0, 0)
         assert top == 7  # m_2 bounds the first middle column
         assert bot == 4  # m_1 bounds the second
         T = LittelmannPattern(2, ((7, 4),))
         assert critical_positions(T, HighestWeight((4, 7))) == {(1, 1), (1, 2)}
 
     def test_zero_pattern_first_column_bound(self):
-        base, _, _ = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
-        # a_{1,1} <= base[1] - 2 bar(1,1) + a_{1,2} + bar(1,2): m_4 with empty sums
-        assert base[1] == 1
+        bases, _, _, _ = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
+        # a_{1,1} <= bases[0] - 2 bar(1,1) + a_{1,2} + bar(1,2): m_4 with empty sums
+        assert bases[0] == 1
         assert upper_bound(zero_pattern(4), HighestWeight((1, 1, 1, 1)), (1, 1)) == 1
 
     def test_zero_pattern_bottom_middle_bound(self):
-        _, _, bot = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
+        _, _, bot, _ = _row_bases(4, (1, 1, 1, 1), 1, (0, 0, 0), 0, 0)
         assert bot == 1  # m_1 with empty sums
 
     def test_bounds_depend_on_previous_rows(self):
         T = LittelmannPattern.from_string("1,1,1,1;1,1")
         hw = HighestWeight((2, 2, 2))
         # Row 2 top-middle bound: m_2 + bar(2,1)->absent + S(1,1) - 2*T1(1).
-        s, t1, t2 = fill_states(T, hw)[1]
-        _, top, _ = _row_bases(3, hw.m, 2, (0,) + s, t1, t2)
+        _, top, _, _ = _row_bases(3, hw.m, 2, *fill_states(T, hw)[1])
         assert top == 2 + (1 + 1) - 2 * 1
         assert upper_bound(T, hw, (2, 2)) == top
 
@@ -321,21 +325,40 @@ class TestEnumeration:
         assert count_patterns(rs, hw) == expected
         assert sum(1 for _ in patterns(rs, hw)) == expected
 
-    def test_state_walk_frees_its_memo(self):
-        seen = []
+    def test_state_walk_drops_each_level(self):
+        # The values a row's pushes consume are unreferenced once the level
+        # below that row is built.  The start value stays with the caller.
+        class Box:
+            def __init__(self, count):
+                self.count = count
 
-        def fold(i, fills, completions):
-            seen.append(completions)
-            return sum(completions(i + 1, s, t1, t2) for _, _, s, t1, t2 in fills)
+        consumed = {}
 
-        hw = HighestWeight.from_twist((1, 0, 2))
-        assert _state_walk(3, hw.m, None, 1, fold) == count_patterns(build_root_system(3), hw)
-        memos = [
-            cell.cell_contents
-            for cell in seen[0].__closure__
-            if isinstance(cell.cell_contents, dict)
-        ]
-        assert memos == [{}]
+        def push(i, fills, moves, below):
+            assert all(ref() is None for ref in consumed.get(i - 1, ()) if i > 2)
+            for (S, t1, t2), value in moves:
+                consumed.setdefault(i, []).append(weakref.ref(value))
+                for state in _below(S, t1, t2, fills):
+                    below.setdefault(state, Box(0)).count += value.count
+
+        hw = HighestWeight.from_twist((1, 0, 2, 0, 1))
+        last = _state_walk(5, hw.m, None, Box(1), push)
+        assert sorted(consumed) == [1, 2, 3, 4]
+        assert all(ref() is None for ref in consumed[4])
+        total = sum(box.count for box in last.values())
+        assert total == count_patterns(build_root_system(5), hw)
+
+    def test_d6_count_fills_each_group_once(self, monkeypatch):
+        # 2,219 states between rows share 365 distinct bounds.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _row_fills(*args)
+
+        monkeypatch.setattr("dlocal.pattern._row_fills", counted)
+        assert count_patterns(build_root_system(6), HighestWeight((1,) * 6)) == 2**30
+        assert len(calls) == 365
 
     def test_enumerated_criticality_matches_direct_bounds(self):
         rs = build_root_system(3)
@@ -383,18 +406,17 @@ class TestEnumeration:
     def test_work_units_cover_enumeration_exactly(self):
         # Completions of the first-row fills, taken in any grouping, form
         # the same multiset as enumeration.
-        from dlocal.pattern import _complete, _row_fills
-
         rs = build_root_system(3)
         hw = HighestWeight((2, 1, 2))
         sequential = sorted(T.rows for T in patterns(rs, hw))
-        units = _row_fills(3, hw.m, 1, (0,), 0, 0, None)
+        units = _row_fills(3, 1, *_row_bases(3, hw.m, 1, (0, 0), 0, 0))
+        units = list(zip(units, _below((0, 0), 0, 0, units)))
         chunks = [units[k::3] for k in range(3)]
         sharded = []
         for chunk in chunks:
-            for row, _, s, t1, t2 in chunk:
-                for rest, _ in _complete(3, hw.m, None, 2, s, t1, t2):
-                    sharded.append((row,) + rest)
+            for fill, state in chunk:
+                for rest, _ in _complete(3, hw.m, None, 2, *state):
+                    sharded.append((fill[0],) + rest)
         assert sorted(sharded) == sequential
 
     def test_rank_mismatch_rejected(self):
@@ -471,7 +493,9 @@ class TestRowFillsAgainstBounds:
                     else:
                         assert max(row) < box - 1, "the box is too small"
                         ps = partial_sums(T, i)
-                        expected.append((row, crit, ps.col_pairs, ps.mid_top, ps.mid_bot))
+                        expected.append(
+                            (row, crit, (ps.col_pairs[i - 1 :], ps.mid_top, ps.mid_bot))
+                        )
                     if i == r - 1:
                         try:
                             actual = critical_positions(T, hw)
@@ -480,6 +504,175 @@ class TestRowFillsAgainstBounds:
                         reference, violation = reference_criticality(T, hw)
                         assert actual == (reference if violation is None else violation)
                 ps = partial_sums(T, i - 1)
-                fills = _row_fills(r, hw.m, i, ps.col_pairs, ps.mid_top, ps.mid_bot, None)
-                actual = sorted((row, sorted(crit), s, t1, t2) for row, crit, s, t1, t2 in fills)
+                state = ((0,) + ps.col_pairs)[i - 1 :], ps.mid_top, ps.mid_bot
+                fills = _row_fills(r, i, *_row_bases(r, hw.m, i, *state))
+                states = _below(*state, fills)
+                actual = sorted((f[0], sorted(f[1]), st) for f, st in zip(fills, states))
                 assert actual == sorted(expected), (i, prefix)
+
+
+# -- a test-only reference for the fills ---------------------------------------
+#
+# The per-state fills of the earlier backward walk, transcribed: the state
+# above row i is the whole tuple s (s[c-1] = S(c, i-1) for c = 1..r-2), and
+# each fill carries the whole tuple after the row.  The grouped fills must
+# give the same rows and critical tuples, and their ds must give the same
+# sums.
+
+_NO_CAP = 1 << 62
+
+
+def per_state_row_fills(r, m, i, s, t1, t2, lam):
+    """(row, crit, new_s, new_t1, new_t2) for every valid fill of row i."""
+    last = r - 2
+    S = (0,) + s
+    base = [0] * (last + 1)
+    for j in range(i, last + 1):
+        base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else t1 + t2)
+    top_base, bot_base = m[1] + S[last] - 2 * t1, m[0] + S[last] - 2 * t2
+    out = []
+    if i > last:
+        if lam is None:
+            tops, bots = range(top_base + 1), range(bot_base + 1)
+        else:
+            top, bot = lam[0] - t1, lam[1] - t2
+            tops = (top,) if 0 <= top <= top_base else ()
+            bots = (bot,) if 0 <= bot <= bot_base else ()
+        for top in tops:
+            top_crit = ((i, r - 1),) if top == top_base else ()
+            for bot in bots:
+                crit = top_crit + ((i, r),) if bot == bot_base else top_crit
+                out.append(((top, bot), crit, s, t1 + top, t2 + bot))
+        return out
+
+    exact = lam is not None
+    cap = [_NO_CAP] * (last + 1)
+    if exact:
+        for j in range(i, last + 1):
+            cap[j] = lam[r - j] - S[j]
+    top_cap = lam[0] - t1 if exact else _NO_CAP
+    bot_cap = lam[1] - t2 if exact else _NO_CAP
+    flip = 2 * r - 1 - i
+    mid = r - 1 - i
+    vals = [0] * (2 * (r - i))
+    sums = list(s)
+    crit = []
+
+    def fill_bars(j, prev):
+        if j > last:
+            fill_mid(prev)
+            return
+        bound = base[j] + prev
+        high = cap[j] if cap[j] < bound else bound
+        k = flip - j
+        for v in range(prev, high + 1 if high < bound else bound):
+            vals[k] = v
+            fill_bars(j + 1, v)
+        if high == bound >= prev:
+            vals[k] = bound
+            crit.append((i, k + i))
+            fill_bars(j + 1, bound)
+            crit.pop()
+
+    def fill_mid(low):
+        top_bound = top_base + low
+        bot_bound = bot_base + low
+        for top in range(low, min(top_bound, top_cap) + 1):
+            vals[mid] = top
+            if top == top_bound:
+                crit.append((i, r - 1))
+            for bot in range(low, min(bot_bound, bot_cap) + 1):
+                vals[mid + 1] = bot
+                floor = top if top > bot else bot
+                if bot == bot_bound:
+                    crit.append((i, r))
+                    fill_left(last, floor, top + bot)
+                    crit.pop()
+                else:
+                    fill_left(last, floor, top + bot)
+            if top == top_bound:
+                crit.pop()
+
+    def fill_left(j, low, inner):
+        b = vals[flip - j]
+        if j > i:
+            bound = base[j] + inner - 2 * b + vals[flip - j + 1]
+            high = min(cap[j] - b, bound)
+            if exact and j == i + 1:
+                bi = vals[flip - i]
+                v0 = cap[i] - bi
+                high = min(high, v0)
+                low = max(low, v0 + 2 * bi - base[i] - b)
+            for v in range(low, high + 1 if high < bound else bound):
+                vals[j - i] = v
+                sums[j - 1] = S[j] + b + v
+                fill_left(j - 1, v, v + b)
+            if high == bound >= low:
+                vals[j - i] = bound
+                sums[j - 1] = S[j] + b + bound
+                crit.append((i, j))
+                fill_left(j - 1, bound, bound + b)
+                crit.pop()
+            return
+        bound = base[i] + inner - 2 * b
+        if exact:
+            v = cap[i] - b
+            if not low <= v <= bound:
+                return
+            values = (v,)
+        else:
+            values = range(low, bound + 1)
+        row_crit = tuple(crit)
+        for v in values:
+            vals[0] = v
+            sums[i - 1] = S[i] + b + v
+            out.append((
+                tuple(vals),
+                row_crit + ((i, i),) if v == bound else row_crit,
+                tuple(sums),
+                t1 + vals[mid],
+                t2 + vals[mid + 1],
+            ))
+
+    fill_bars(i, 0)
+    return out
+
+
+class TestGroupedFillsAgainstPerStateFills:
+    """On every state of D4 that the per-state fills reach, with and without
+    a target, the fills of the state's group plus their ds give the
+    per-state 5-tuples, in the same order.  The targets are every weight of
+    the untwisted patterns, and every tenth weight of the twisted n = 2
+    local part's support.
+    """
+
+    @pytest.mark.parametrize("twist", [(0, 0, 0, 0), (0, 1, 2, 0)])
+    @pytest.mark.parametrize("targeted", [False, True], ids=["full", "targets"])
+    def test_grouped_fills_reproduce_per_state_fills(self, twist, targeted):
+        r = 4
+        hw = HighestWeight.from_twist(twist)
+        lams = [None]
+        if targeted and any(twist):
+            lams = local_part(build_root_system(r), hw, 2).support()[::10]
+        elif targeted:
+            lams = sorted({weight_vector(T) for T in patterns(build_root_system(r), hw)})
+        groups = {}
+        states = 0
+        for lam in lams:
+            level = {((0,) * (r - 2), 0, 0)}
+            for i in range(1, r):
+                below = set()
+                for s, t1, t2 in sorted(level):
+                    states += 1
+                    expected = per_state_row_fills(r, hw.m, i, s, t1, t2, lam)
+                    bounds = _row_bases(r, hw.m, i, ((0,) + s)[i - 1 :], t1, t2, lam)
+                    if bounds not in groups:
+                        groups[bounds] = _row_fills(r, i, *bounds)
+                    actual = [
+                        (row, crit, s[: i - 1] + tuple(map(add, s[i - 1 :], ds)), t1 + d1, t2 + d2)
+                        for row, crit, ds, d1, d2 in groups[bounds]
+                    ]
+                    assert actual == expected, (lam, i, s, t1, t2)
+                    below.update(fill[2:] for fill in expected)
+                level = below
+        assert len(groups) < states if lam is None else len(groups) <= states
