@@ -10,9 +10,7 @@ arithmetic is exact; nothing here uses floating point.
 from .coeff_ring import RingElem, gauss_symbol
 from .decoration import (
     Component,
-    DecoratedGraph,
     component_structure,
-    decorate,
     render_decorated,
 )
 from .local_part import (
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Component",
-    "DecoratedGraph",
     "HighestWeight",
     "LittelmannPattern",
     "LocalPart",
@@ -68,7 +65,6 @@ __all__ = [
     "component_structure",
     "count_patterns",
     "critical_positions",
-    "decorate",
     "enumerate_decorated",
     "gauss_symbol",
     "kubota_local",

@@ -3,8 +3,8 @@
 One binary with subcommands; every number printed is exact unless the
 explicitly non-canonical --eval-p substitution is requested.  Exit status
 0 on success, 1 when a verification suite fails, 2 on usage errors: bad
-flags and any ValueError or OSError a subcommand raises on its input or
-its --output path, each reported as one ``error:`` line.
+flags and any ValueError, OSError or OverflowError (a huge --n) raised on
+a subcommand's input or --output path, each reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .coeff_ring import _gmono_str
 from .decoration import (
     _strictness_failure,
     component_structure,
-    decorate,
     render_decorated,
     strictness_counts,
 )
@@ -33,6 +32,7 @@ from .oracle import (
 )
 from .pattern import (
     LittelmannPattern,
+    critical_positions,
     enumerate_decorated,
     weight_vector,
 )
@@ -44,6 +44,13 @@ def _int_vector(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
 
 
 def _write(text: str, path) -> None:
@@ -164,15 +171,15 @@ def cmd_explain(args) -> int:
     if args.rank is not None and args.rank != T.rank:
         raise ValueError(f"pattern literal has rank {T.rank}, not {args.rank}")
     hw = _highest_weight(T.rank, args.twist)
-    graph = decorate(T, hw)
+    circled = critical_positions(T, hw)
 
     n = args.n
     lam = weight_vector(T)
-    out = [render_decorated(graph), ""]
+    out = [render_decorated(T, circled), ""]
     out.append(f"weight: {','.join(map(str, lam))}   |weight| = {sum(lam)}")
-    failure = _strictness_failure(T, graph.circled)
+    failure = _strictness_failure(T, circled)
     for comp in component_structure(T):
-        factor, tag = component_rule(comp, graph.circled, n)
+        factor, tag = component_rule(comp, circled, n)
         shown = str(factor) if failure is None else "skipped"
         cols = ",".join(map(str, comp.columns))
         out.append(
@@ -199,8 +206,7 @@ def cmd_verify(args) -> int:
         reports = [check_tokuyama(max_rank=args.max_rank)]
     elif args.suite == "rank2":
         max_twist = 3 if args.max_twist is None else args.max_twist
-        reports = [check_rank2(max_twist, args.max_n, brute_max_twist=max(10, max_twist),
-                               brute_max_n=max(6, args.max_n))]
+        reports = [check_rank2(max_twist, args.max_n)]
     elif args.suite == "example2":
         reports = [check_example2()]
     else:
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", help="write to this path instead of stdout")
     compute.add_argument(
         "--eval-p",
-        type=Fraction,
+        type=_fraction,
         dest="eval_p",
         help="substitute a rational p in text output (non-canonical)",
     )
@@ -287,7 +293,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,8 @@ Both kinds of vertex are the row's strictness probes, so the rule reads:
 a pattern is nonstrict exactly when one of its circled vertices is a
 probe.
 
-Components, probes and the row's weight depend only on the values of one
-row, so ``_row_analysis`` memoizes them per (rank, row index, row values).
+Components and probes depend only on the values of one row, so
+``_row_analysis`` memoizes them per (rank, row index, row values).
 ``local_part.row_term`` adds the circled positions and the cover degree to
 that key in its own cache; ``strictness_counts`` reads only the probes.
 """
@@ -40,9 +40,7 @@ from .pattern import (
     _below,
     _check_args,
     _state_walk,
-    critical_positions,
     row_chain_pairs,
-    row_weight,
 )
 from .root_data import HighestWeight, RootSystemD
 
@@ -63,15 +61,6 @@ class Component:
     length: Optional[int] = None  # ml_symmetric only
     shorter_leg_endpoint: Optional[Position] = None  # ml_asymmetric only
     upsilon: Optional[Position] = None  # ml_symmetric only
-
-
-@dataclass(frozen=True)
-class DecoratedGraph:
-    """A pattern together with its equality edges and circled vertices."""
-
-    pattern: LittelmannPattern
-    circled: frozenset[Position]
-    edges: tuple[tuple[Position, Position], ...]
 
 
 def _classify(rank: int, i: int, columns: list[int], value: int) -> Component:
@@ -113,13 +102,12 @@ def _classify(rank: int, i: int, columns: list[int], value: int) -> Component:
 @lru_cache(maxsize=None)
 def _row_analysis(
     rank: int, i: int, row: tuple[int, ...]
-) -> tuple[tuple[Component, ...], tuple[Position, ...], tuple[int, ...]]:
-    """Per-row data: (components, strictness probes, weight delta).
+) -> tuple[tuple[Component, ...], tuple[Position, ...]]:
+    """Per-row data: (components, strictness probes).
 
     The probes are the row's zero entries and the earlier endpoints of
     every edge inside a component that is not a symmetric multiple leaner;
-    circling any of them makes the pattern nonstrict.  The weight delta is
-    this row's contribution to the weight vector.
+    circling any of them makes the pattern nonstrict.
     """
     r = rank
 
@@ -156,7 +144,7 @@ def _row_analysis(
             if a in colset and b in colset:
                 probes.append((i, a))
 
-    return components, tuple(probes), row_weight(rank, i, row)
+    return components, tuple(probes)
 
 
 def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
@@ -165,17 +153,6 @@ def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
     for i, row in enumerate(T.rows, start=1):
         out.extend(_row_analysis(T.rank, i, row)[0])
     return tuple(out)
-
-
-def decorate(T: LittelmannPattern, hw: HighestWeight) -> DecoratedGraph:
-    """Build the decorated graph; rejects patterns that violate a bound."""
-    circled = critical_positions(T, hw)
-    edges = []
-    for i in range(1, T.rank):
-        for a, b in row_chain_pairs(T.rank, i):
-            if T.entry(i, a) == T.entry(i, b):
-                edges.append(((i, a), (i, b)))
-    return DecoratedGraph(pattern=T, circled=circled, edges=tuple(edges))
 
 
 def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
@@ -225,20 +202,19 @@ def _cell(value: int, circled: bool) -> str:
     return f"({value})" if circled else str(value)
 
 
-def render_decorated(g: DecoratedGraph) -> str:
-    """ASCII picture, three text lines per pattern row.
+def render_decorated(T: LittelmannPattern, circled) -> str:
+    """ASCII picture of T, ``circled`` in parentheses, three text lines per row.
 
     The chains run along the middle line with " — " marking edges and three
     spaces otherwise; the two middle entries sit stacked above and below
     the gap between the chains, flanked by "—" marks exactly where edges
     toward column r-2 (left) and column r+1 (right) exist.
     """
-    T = g.pattern
     r = T.rank
     blocks = []
     for i in range(1, r):
         def cell(c):
-            return _cell(T.entry(i, c), (i, c) in g.circled)
+            return _cell(T.entry(i, c), (i, c) in circled)
 
         def eq(a, b):
             return T.entry(i, a) == T.entry(i, b)

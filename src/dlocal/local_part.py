@@ -17,21 +17,20 @@ vertex just left of y.  Zero-valued components contribute 1.
 
 A pattern of weight lambda contributes p^|lambda| times the product of its
 component contributions, and the coefficient a_lambda of the local part is
-the sum over strict patterns of weight lambda.  Components never cross
-rows, so the product splits into row factors.  ``row_term`` is the only
-code that applies the strictness rule and multiplies component
-contributions; the assembly and ``pattern_contribution`` (which
-``explain`` prints) both use its row factors.  It is memoized per (rank,
-row index, row values, circled positions, n), so the rule runs once per
-distinct row.
+the sum over strict patterns of weight lambda.  |lambda| is the sum of the
+entries and components never cross rows, so this splits into row factors:
+p^(sum of the row) times the row's component contributions.  ``row_term``
+is the only code that applies the strictness rule and forms a row factor;
+the assembly and ``pattern_contribution`` (which ``explain`` prints) both
+multiply its factors.  It is memoized per (rank, row index, row values,
+circled positions, n), so the rule runs once per distinct row.
 
 A row's fills and its term depend only on the row and the state above
 it, so the assembly never visits a single pattern: ``_extend`` is the push
-of ``pattern._state_walk``, and p^|lambda| is applied once per coefficient.
-A target weight only narrows the fills, so a single coefficient and the
-full local part run the same code.  The row terms, sigma values and small
-p-powers are cached and shared; nothing mutates a RingElem or a term dict
-once formed, so sharing is safe.
+of ``pattern._state_walk``.  A target weight only narrows the fills, so a
+single coefficient and the full local part run the same code.  The row
+terms, sigma values and small p-powers are cached and shared; nothing
+mutates a RingElem or a term dict once formed, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .pattern import (
     _check_args,
     _state_walk,
     critical_positions,
-    weight_vector,
 )
 from .root_data import HighestWeight, RootSystemD
 
@@ -165,29 +163,29 @@ def component_rule(comp: Component, circled, n: int) -> tuple[RingElem, str]:
 @lru_cache(maxsize=None)
 def row_term(
     rank: int, i: int, row: tuple[int, ...], crit: tuple[Position, ...], n: int
-) -> tuple[Optional[RingElem], tuple[int, ...]]:
-    """(factor, weight delta) of row i with the positions in ``crit`` circled.
+) -> Optional[RingElem]:
+    """Factor of row i with the positions in ``crit`` circled.
 
-    The factor is the product of the row's component contributions (the
-    shared unit when all are 1), or None when a circled position is a
+    The factor is p^(sum of the row) times the product of the row's
+    component contributions, or None when a circled position is a
     strictness probe: the row makes the pattern nonstrict.
     """
-    components, probes, delta = _row_analysis(rank, i, row)
+    components, probes = _row_analysis(rank, i, row)
     if any(pos in probes for pos in crit):
-        return None, delta
+        return None
     unit = _one(n)
-    factor = unit
+    factor = _p_pow(sum(row), n)
     for comp in components:
         value = component_rule(comp, crit, n)[0]
         if value.is_zero:
-            return value, delta
+            return value
         if value is not unit:
             factor = factor * value
-    return factor, delta
+    return factor
 
 
 def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> RingElem:
-    """p^|lambda(T)| times the product of T's row factors.
+    """Product of T's row factors: p^|lambda(T)| times its component factors.
 
     Rejects patterns that are not strict (their contribution is excluded
     from the local part, not zero).
@@ -196,10 +194,10 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     failure = _strictness_failure(T, circled)
     if failure is not None:
         raise ValueError(f"nonstrict pattern: {failure}")
-    value = _p_pow(sum(weight_vector(T)), n)
+    value = _one(n)
     for i, row in enumerate(T.rows, start=1):
         crit = tuple(sorted(pos for pos in circled if pos[0] == i))
-        value = value * row_term(T.rank, i, row, crit, n)[0]
+        value = value * row_term(T.rank, i, row, crit, n)
     return value
 
 
@@ -213,7 +211,7 @@ def _extend(r, n, i, fills, moves, below):
     """
     kept, factors = [], []
     for fill in fills:
-        factor = row_term(r, i, fill[0], fill[1], n)[0]
+        factor = row_term(r, i, fill[0], fill[1], n)
         if factor is not None and factor.terms:
             kept.append(fill)
             factors.append(factor.terms)
@@ -269,6 +267,5 @@ def local_part(
     for (_, t1, t2), value in pushed.items():
         for key, terms in _sums(value).items():
             if terms:
-                wt = (t1, t2) + key[:0:-1]
-                coeffs[wt] = _p_pow(sum(wt), n) * RingElem._wrap(n, terms)
+                coeffs[(t1, t2) + key[:0:-1]] = RingElem._wrap(n, terms)
     return LocalPart(rank=r, n=n, twist=hw.twist, coefficients=coeffs)

@@ -21,7 +21,6 @@ Four suites, each comparing canonical forms exactly (never numerically):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -77,9 +76,6 @@ class VerificationReport:
                 for case in self.cases
             ],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = []
@@ -218,13 +214,10 @@ def _first_diff(a: LocalPart, b: LocalPart) -> str:
     return "equal"
 
 
-def check_rank2(
-    max_twist: int = 3,
-    max_n: int = 4,
-    brute_max_twist: int = 10,
-    brute_max_n: int = 6,
-) -> VerificationReport:
-    """D_2 local parts factor into Kubota polynomials, twists crossed."""
+def check_rank2(max_twist: int = 3, max_n: int = 4) -> VerificationReport:
+    """D_2 local parts factor into Kubota polynomials, twists crossed; the
+    rank-one closed form is checked on twists up to max(10, max_twist) and
+    n up to max(6, max_n), so the flags only widen that grid."""
     _check_max_twist(max_twist)
     if max_n < 1:
         raise ValueError(f"max n must be >= 1, got {max_n}")
@@ -247,7 +240,7 @@ def check_rank2(
             "equal",
             "equal" if computed.coefficients == expected else _first_diff(computed, product_part),
         )
-    for l, n in product(range(brute_max_twist + 1), range(1, brute_max_n + 1)):
+    for l, n in product(range(max(10, max_twist) + 1), range(1, max(6, max_n) + 1)):
         closed = kubota_local(l, n)
         brute = kubota_brute(l, n)
         report.add(

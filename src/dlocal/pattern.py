@@ -57,7 +57,6 @@ of states with equal bounds, and ``count_patterns``, ``local_part`` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -135,9 +134,6 @@ class LittelmannPattern:
     @classmethod
     def from_json_obj(cls, obj) -> "LittelmannPattern":
         return cls(rank=obj["rank"], rows=tuple(tuple(row) for row in obj["rows"]))
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
 # -- bounds and criticality ---------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_3_dimension_grid():
 
 def test_criterion_4_rank2_factorization():
     with criterion("4 rank-2 Kubota factorization"):
-        report = check_rank2(max_twist=3, max_n=4, brute_max_twist=10, brute_max_n=6)
+        report = check_rank2(max_twist=3, max_n=4)
         failing = [case.description for case in report.cases if not case.passed]
         assert report.passed, f"failing cases: {failing}"
 

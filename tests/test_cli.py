@@ -330,6 +330,19 @@ def test_missing_subcommand_is_usage_error(capsys):
         pytest.param(["verify", "--suite", "rank2", "--max-n", "0"], id="rank2-n-zero"),
         pytest.param(["compute", "--rank", "2", "--n", "abc", "--twist", "0,0"], id="n-not-int"),
         pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "1,1", "--eval-p", "1/0"],
+            id="eval-p-zero-denominator",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "99999999999999999999", "--twist", "0,0",
+             "--coeff", "1,1"],
+            id="compute-huge-n",
+        ),
+        pytest.param(
+            ["explain", "--pattern", "1,0", "--twist", "1,1", "--n", "99999999999999999999"],
+            id="explain-huge-n",
+        ),
+        pytest.param(
             ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--jobs", "2"],
             id="unknown-flag",
         ),

@@ -8,7 +8,6 @@ from dlocal import (
     build_root_system,
     component_structure,
     critical_positions,
-    decorate,
     enumerate_decorated,
     render_decorated,
     row_chain_pairs,
@@ -160,30 +159,33 @@ class TestComponents:
 
 
 class TestDecorate:
+    """A pattern's decoration: its circled set and its components."""
+
     def test_circles_match_critical_positions(self):
         rs = build_root_system(3)
         hw = HighestWeight((2, 1, 2))
-        for T in list(enumerate_decorated(rs, hw))[:50]:
-            g = decorate(T[0], hw)
-            assert g.circled == critical_positions(T[0], hw)
+        for T, crit in list(enumerate_decorated(rs, hw))[:50]:
+            assert crit == critical_positions(T, hw)
 
     def test_edges_join_equal_comparable_neighbors(self):
         T = make_pattern((2, 2, 1, 2, 1, 0), (3, 2, 2, 1), (1, 0))
-        g = decorate(T, big_weight(4))
-        assert ((1, 1), (1, 2)) in g.edges
-        assert ((1, 2), (1, 4)) in g.edges  # left chain end to lower middle
-        assert ((1, 2), (1, 3)) not in g.edges
+        columns = {(c.row, c.columns) for c in component_structure(T)}
+        # a_{1,1} = a_{1,2} along the chain, a_{1,2} = a_{1,4} from the left
+        # chain end to the lower middle; a_{1,2} and a_{1,3} differ.
+        assert (1, (1, 2, 4)) in columns
+        assert (1, (3, 5)) in columns
         # The equal middle pair of row 2 is never joined.
-        assert ((2, 3), (2, 4)) not in g.edges
+        assert (2, (3,)) in columns and (2, (4,)) in columns
 
     def test_rejects_bound_violation(self):
         T = LittelmannPattern(2, ((5, 0),))
         with pytest.raises(ValueError, match="exceeds its bound"):
-            decorate(T, HighestWeight((1, 1)))
+            critical_positions(T, HighestWeight((1, 1)))
 
     def test_component_structure_of_decorated_pattern(self):
         T = make_pattern((2, 2, 2, 2), (1, 0))
-        comps = component_structure(decorate(T, big_weight(3)).pattern)
+        critical_positions(T, big_weight(3))  # within its bounds
+        comps = component_structure(T)
         assert [c.kind for c in comps if c.row == 1] == [ML_SYMMETRIC]
 
 
@@ -316,7 +318,7 @@ class TestRender:
         # Circles at both chain ends and at a_{2,2}; the whole first row is
         # one (exempt) symmetric leaner, edges drawn toward both middles.
         T = LittelmannPattern.from_string("1,1,1,1;1,0")
-        g = decorate(T, HighestWeight((1, 1, 1)))
+        circled = critical_positions(T, HighestWeight((1, 1, 1)))
         expected = "\n".join(
             [
                 "    — 1 —",
@@ -327,10 +329,9 @@ class TestRender:
                 "    0",
             ]
         )
-        assert render_decorated(g) == expected
+        assert render_decorated(T, circled) == expected
 
     def test_render_marks_circles(self):
         T = LittelmannPattern(2, ((2, 1),))
-        g = decorate(T, HighestWeight((3, 2)))
-        text = render_decorated(g)
+        text = render_decorated(T, critical_positions(T, HighestWeight((3, 2))))
         assert "(2)" in text and "(1)" not in text

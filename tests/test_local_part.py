@@ -19,7 +19,7 @@ from dlocal import (
     weight_vector,
 )
 from dlocal.decoration import ML_SYMMETRIC, _strictness_failure, component_structure
-from dlocal.local_part import component_rule
+from dlocal.local_part import component_rule, row_term
 
 
 def p(e, n=2):
@@ -161,6 +161,29 @@ class TestRowRule:
         rs = build_root_system(len(twist))
         hw = HighestWeight.from_twist(twist)
         assert local_part(rs, hw, n).coefficients == _strict_pattern_sum(rs, hw, n)
+
+    def test_row_term_is_row_power_times_component_rules(self):
+        # rank 2, hw (2, 3): a_{1,1} = 3 and a_{1,2} = 2 are both circled.
+        assert row_term(2, 1, (3, 2), ((1, 1), (1, 2)), 2) == (
+            p(5) * (gauss_symbol(1, 2) * p(-1)) * (-p(-1))
+        )
+        # Row 2 of 1,1,0,0;0,0 under hw (1, 1, 1) circles a zero.
+        assert row_term(3, 2, (0, 0), ((2, 2), (2, 3)), 2) is None
+        rs = build_root_system(3)
+        hw = HighestWeight((2, 1, 2))
+        for T, crit in enumerate_decorated(rs, hw):
+            factors = []
+            for i, row in enumerate(T.rows, start=1):
+                row_crit = tuple(sorted(pos for pos in crit if pos[0] == i))
+                factor = row_term(3, i, row, row_crit, 3)
+                factors.append(factor)
+                if factor is not None:
+                    expected = p(sum(row), 3)
+                    for comp in component_structure(T):
+                        if comp.row == i:
+                            expected = expected * component_rule(comp, row_crit, 3)[0]
+                    assert factor == expected
+            assert (None in factors) == (_strictness_failure(T, crit) is not None)
 
 
 class TestAssembly:

@@ -1,7 +1,5 @@
 """The verification suites and their reports."""
 
-import json
-
 import pytest
 
 from dlocal import (
@@ -78,7 +76,7 @@ class TestSuites:
         ]
 
     def test_rank2(self):
-        report = check_rank2(max_twist=2, max_n=3, brute_max_twist=5, brute_max_n=3)
+        report = check_rank2(max_twist=2, max_n=3)
         assert report.passed
 
     def test_example2(self):
@@ -102,7 +100,7 @@ class TestReport:
     def test_json_shape(self):
         report = VerificationReport("demo")
         report.add("case", "x", "x")
-        obj = json.loads(report.to_json_str())
+        obj = report.to_json_obj()
         assert obj["suite"] == "demo"
         assert obj["passed"] is True
         assert obj["cases"][0] == {
