@@ -67,6 +67,8 @@ def _write(text: str, path) -> None:
 
 
 def _highest_weight(rank: int, twist) -> HighestWeight:
+    if rank < 2:
+        raise ValueError(f"rank must be >= 2, got {rank}")
     if len(twist) != rank:
         raise ValueError(f"twist must have {rank} entries, got {len(twist)}")
     return HighestWeight.from_twist(twist)
@@ -179,11 +181,12 @@ def cmd_explain(args) -> int:
     out.append(f"weight: {','.join(map(str, lam))}   |weight| = {sum(lam)}")
     failure = _strictness_failure(T, circled)
     for comp in component_structure(T):
-        factor, tag = component_rule(comp, circled, n)
+        value = T.entry(comp.row, comp.columns[0])
+        factor, tag = component_rule(comp, value, circled, n)
         shown = str(factor) if failure is None else "skipped"
         cols = ",".join(map(str, comp.columns))
         out.append(
-            f"row {comp.row} columns [{cols}] value {comp.value}: {comp.kind}; "
+            f"row {comp.row} columns [{cols}] value {value}: {comp.kind}; "
             f"{tag}; factor = {shown}"
         )
     if failure is None:

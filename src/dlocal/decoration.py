@@ -22,10 +22,14 @@ Both kinds of vertex are the row's strictness probes, so the rule reads:
 a pattern is nonstrict exactly when one of its circled vertices is a
 probe.
 
-Components and probes depend only on the values of one row, so
-``_row_analysis`` memoizes them per (rank, row index, row values).
-``local_part.row_term`` adds the circled positions and the cover degree to
-that key in its own cache; ``strictness_counts`` reads only the probes.
+A row's components and edge probes depend only on its shape: which
+row-chain neighbours are equal, not what the entries are.  So
+``_row_analysis`` memoizes them per (rank, row index, equality mask); a
+component carries no value, and its callers read the shared value from
+the row.  The zero probes are read from the row at the circled
+positions.  ``_circled_probes`` is the one strictness test: the row
+factor ``local_part.row_term``, the push of ``strictness_counts`` and
+``_strictness_failure`` all call it.
 """
 
 from __future__ import annotations
@@ -51,10 +55,9 @@ ML_SYMMETRIC = "ml_symmetric"
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component, always contained in a single row."""
+    """One connected component of a row shape; its vertices share one value."""
 
     row: int
-    value: int
     columns: tuple[int, ...]
     kind: str
     rightmost: Position
@@ -63,22 +66,20 @@ class Component:
     upsilon: Optional[Position] = None  # ml_symmetric only
 
 
-def _classify(rank: int, i: int, columns: list[int], value: int) -> Component:
+def _classify(rank: int, i: int, columns: list[int]) -> Component:
     r = rank
-    colset = set(columns)
     left = sum(1 for c in columns if c <= r - 2)
     right = sum(1 for c in columns if c >= r + 1)
     maxcol = columns[-1]
 
     # Both middle vertices are rightmost when a component ends at r: take the upper.
-    rightmost = (i, r - 1) if maxcol == r and r - 1 in colset else (i, maxcol)
+    rightmost = (i, r - 1) if maxcol == r and r - 1 in columns else (i, maxcol)
 
     if left >= 1 and right >= 1:
-        assert r - 1 in colset and r in colset, "a leaner spans both middle columns"
+        assert r - 1 in columns and r in columns, "a leaner spans both middle columns"
         if left == right:
             return Component(
                 row=i,
-                value=value,
                 columns=tuple(columns),
                 kind=ML_SYMMETRIC,
                 rightmost=rightmost,
@@ -88,70 +89,62 @@ def _classify(rank: int, i: int, columns: list[int], value: int) -> Component:
         shorter = (i, columns[0]) if left < right else (i, maxcol)
         return Component(
             row=i,
-            value=value,
             columns=tuple(columns),
             kind=ML_ASYMMETRIC,
             rightmost=rightmost,
             shorter_leg_endpoint=shorter,
         )
-    return Component(
-        row=i, value=value, columns=tuple(columns), kind=ORDINARY, rightmost=rightmost
-    )
+    return Component(row=i, columns=tuple(columns), kind=ORDINARY, rightmost=rightmost)
 
 
 @lru_cache(maxsize=None)
 def _row_analysis(
-    rank: int, i: int, row: tuple[int, ...]
-) -> tuple[tuple[Component, ...], tuple[Position, ...]]:
-    """Per-row data: (components, strictness probes).
+    rank: int, i: int, eq: tuple[bool, ...]
+) -> tuple[tuple[Component, ...], frozenset[Position]]:
+    """Shape of row i whose equality mask is ``eq``: (components, edge probes).
 
-    The probes are the row's zero entries and the earlier endpoints of
-    every edge inside a component that is not a symmetric multiple leaner;
-    circling any of them makes the pattern nonstrict.
+    ``eq`` tells, pair by pair of ``row_chain_pairs(rank, i)``, whether the
+    two entries are equal.  The edge probes are the earlier endpoints of
+    the equal pairs inside components that are not symmetric multiple
+    leaners.
     """
-    r = rank
-
-    def entry(c: int) -> int:
-        return row[c - i]
-
-    cols = list(range(i, 2 * r - i))
-    parent = {c: c for c in cols}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for a, b in row_chain_pairs(rank, i):
-        if entry(a) == entry(b):
-            parent[find(a)] = find(b)
+    pairs = row_chain_pairs(rank, i)
+    label = {c: c for c in range(i, 2 * rank - i)}
+    for (a, b), equal in zip(pairs, eq):
+        if equal:
+            old, new = label[b], label[a]
+            label = {c: new if k == old else k for c, k in label.items()}
     groups: dict[int, list[int]] = {}
-    for c in cols:
-        groups.setdefault(find(c), []).append(c)
+    for c, k in label.items():
+        groups.setdefault(k, []).append(c)
 
-    components = tuple(
-        _classify(rank, i, sorted(group), entry(group[0]))
-        for group in sorted(groups.values())
-    )
+    components = tuple(_classify(rank, i, group) for group in sorted(groups.values()))
+    exempt = {c for comp in components if comp.kind == ML_SYMMETRIC for c in comp.columns}
+    probes = frozenset((i, a) for (a, _), equal in zip(pairs, eq) if equal and a not in exempt)
+    return components, probes
 
-    probes = [(i, c) for c in cols if entry(c) == 0]
-    for comp in components:
-        if comp.kind == ML_SYMMETRIC:
-            continue
-        colset = set(comp.columns)
-        for a, b in row_chain_pairs(rank, i):
-            if a in colset and b in colset:
-                probes.append((i, a))
 
-    return components, tuple(probes)
+def _row_shape(rank: int, i: int, row: tuple[int, ...]):
+    """``_row_analysis`` of row i with entries ``row``."""
+    pairs = row_chain_pairs(rank, i)
+    return _row_analysis(rank, i, tuple(row[a - i] == row[b - i] for a, b in pairs))
+
+
+def _circled_probes(rank: int, i: int, row: tuple[int, ...], crit) -> list[Position]:
+    """The positions of ``crit``, all in row i, that make a pattern nonstrict.
+
+    A circled entry is a probe when it is 0 or an edge probe of the row's
+    shape.  The positions keep their order in ``crit``.
+    """
+    edges = _row_shape(rank, i, row)[1]
+    return [pos for pos in crit if row[pos[1] - i] == 0 or pos in edges]
 
 
 def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
     """All components of the (undecorated) graph, row by row."""
     out = []
     for i, row in enumerate(T.rows, start=1):
-        out.extend(_row_analysis(T.rank, i, row)[0])
+        out.extend(_row_shape(T.rank, i, row)[0])
     return tuple(out)
 
 
@@ -161,11 +154,11 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
     The first circled zero in row order is reported before any circled
     vertex that leans.
     """
+    circled = sorted(circled)
     failing = [
         pos
         for i, row in enumerate(T.rows, start=1)
-        for pos in _row_analysis(T.rank, i, row)[1]
-        if pos in circled
+        for pos in _circled_probes(T.rank, i, row, [c for c in circled if c[0] == i])
     ]
     if not failing:
         return None
@@ -184,7 +177,7 @@ def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[
     r = rs.rank
 
     def push(i, fills, moves, below):
-        passes = [set(f[1]).isdisjoint(_row_analysis(r, i, f[0])[1]) for f in fills]
+        passes = [not _circled_probes(r, i, f[0], f[1]) for f in fills]
         for (S, t1, t2), (total, strict) in moves:
             for passed, state in zip(passes, _below(S, t1, t2, fills)):
                 t, s = below.get(state, (0, 0))

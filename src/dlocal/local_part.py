@@ -20,10 +20,12 @@ component contributions, and the coefficient a_lambda of the local part is
 the sum over strict patterns of weight lambda.  |lambda| is the sum of the
 entries and components never cross rows, so this splits into row factors:
 p^(sum of the row) times the row's component contributions.  ``row_term``
-is the only code that applies the strictness rule and forms a row factor;
-the assembly and ``pattern_contribution`` (which ``explain`` prints) both
-multiply its factors.  It is memoized per (rank, row index, row values,
-circled positions, n), so the rule runs once per distinct row.
+is the only code that forms a row factor; the assembly and
+``pattern_contribution`` (which ``explain`` prints) both multiply its
+factors.  It asks ``decoration._circled_probes`` whether the row is
+strict, and reads the value of each component of the row's shape from the
+row.  It is memoized per (rank, row index, row values, circled positions,
+n), so the rule runs once per distinct row.
 
 A row's fills and its term depend only on the row and the state above
 it, so the assembly never visits a single pattern: ``_extend`` is the push
@@ -45,7 +47,8 @@ from .decoration import (
     ML_SYMMETRIC,
     ORDINARY,
     Component,
-    _row_analysis,
+    _circled_probes,
+    _row_shape,
     _strictness_failure,
 )
 from .pattern import (
@@ -122,37 +125,37 @@ def sigma_entry(value: int, circled: bool, n: int) -> RingElem:
     return RingElem.zero(n)
 
 
-def component_rule(comp: Component, circled, n: int) -> tuple[RingElem, str]:
-    """Standard contribution of a component and the name of the rule giving it."""
-    if comp.value == 0:
+def component_rule(comp: Component, value: int, circled, n: int) -> tuple[RingElem, str]:
+    """Standard contribution of a component of entries ``value``, and its rule's name."""
+    if value == 0:
         return _one(n), "zero component -> 1"
     if comp.kind == ORDINARY:
         circ = comp.rightmost in circled
-        factor = sigma_entry(comp.value, circ, n)
+        factor = sigma_entry(value, circ, n)
         if circ:
             return factor, "rightmost circled -> g/p"
-        if comp.value % n == 0:
+        if value % n == 0:
             return factor, "rightmost uncircled, n | value -> 1 - 1/p"
         return factor, "rightmost uncircled, n does not divide value -> 0"
     if comp.kind == ML_ASYMMETRIC:
         circ = comp.shorter_leg_endpoint in circled
         side = "circled" if circ else "uncircled"
         return (
-            sigma_entry(comp.value, circ, n),
+            sigma_entry(value, circ, n),
             f"asymmetric leaner, shorter-leg endpoint {side}",
         )
     if comp.kind == ML_SYMMETRIC:
         if comp.rightmost in circled:
             factor = (
-                sigma_entry(comp.value, True, n)
-                * sigma_entry(comp.value, comp.upsilon in circled, n)
+                sigma_entry(value, True, n)
+                * sigma_entry(value, comp.upsilon in circled, n)
                 * _p_pow(-(comp.length - 1), n)
             )
             return factor, (
                 f"symmetric leaner of length {comp.length}, rightmost circled -> "
                 "sigma(y) sigma(upsilon) / p^(length-1)"
             )
-        factor = sigma_entry(comp.value, False, n) * (_one(n) - _p_pow(-comp.length, n))
+        factor = sigma_entry(value, False, n) * (_one(n) - _p_pow(-comp.length, n))
         return factor, (
             f"symmetric leaner of length {comp.length}, rightmost uncircled -> "
             "sigma(y) (1 - 1/p^length)"
@@ -170,13 +173,12 @@ def row_term(
     component contributions, or None when a circled position is a
     strictness probe: the row makes the pattern nonstrict.
     """
-    components, probes = _row_analysis(rank, i, row)
-    if any(pos in probes for pos in crit):
+    if _circled_probes(rank, i, row, crit):
         return None
     unit = _one(n)
     factor = _p_pow(sum(row), n)
-    for comp in components:
-        value = component_rule(comp, crit, n)[0]
+    for comp in _row_shape(rank, i, row)[0]:
+        value = component_rule(comp, row[comp.columns[0] - i], crit, n)[0]
         if value.is_zero:
             return value
         if value is not unit:

@@ -349,6 +349,16 @@ def test_missing_subcommand_is_usage_error(capsys):
         pytest.param(["compute", "--rank", "2", "--n", "1"], id="missing-twist"),
         pytest.param(["verify", "--suite", "nope"], id="unknown-suite"),
         pytest.param(["compute", "--rank", "2", "--n", "1", "--twist", "0,x"], id="twist-not-int"),
+        pytest.param(
+            ["compute", "--rank", "0", "--n", "1", "--twist", "0"], id="rank-zero-long-twist"
+        ),
+        pytest.param(
+            ["compute", "--rank", "1", "--n", "1", "--twist", "0,0"], id="rank-one-long-twist"
+        ),
+        pytest.param(
+            ["patterns", "--rank", "1", "--twist", "0,0", "--count-only"],
+            id="patterns-rank-one-long-twist",
+        ),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -357,6 +367,14 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["compute", "patterns"])
+@pytest.mark.parametrize("rank, twist", [("0", "0"), ("1", "0,0"), ("-1", "0")])
+def test_rank_error_comes_before_twist_length(capsys, command, rank, twist):
+    n = ["--n", "1"] if command == "compute" else []
+    code, out, err = run(capsys, command, "--rank", rank, "--twist", twist, *n)
+    assert (code, out, err) == (2, "", f"error: rank must be >= 2, got {rank}\n")
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,5 +1,7 @@
 """Graph components, leaner classification, and strictness."""
 
+import random
+
 import pytest
 
 from dlocal import (
@@ -16,9 +18,14 @@ from dlocal.decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
     ORDINARY,
+    _circled_probes,
+    _row_analysis,
+    _row_shape,
     _strictness_failure,
     strictness_counts,
 )
+from dlocal.local_part import row_term
+from dlocal.pattern import _count_push, _state_walk
 
 
 def make_pattern(*rows):
@@ -115,7 +122,7 @@ class TestComponents:
         for T, _ in enumerate_decorated(rs, hw):
             for comp in component_structure(T):
                 values = {T.entry(comp.row, c) for c in comp.columns}
-                assert values == {comp.value}
+                assert len(values) == 1
 
     def test_multiple_leaners_contain_both_middles(self):
         rs = build_root_system(3)
@@ -259,7 +266,11 @@ class TestStrictness:
             comps = [
                 c
                 for c in component_structure(T)
-                if not (c.value == 0 and len(c.columns) == 1 and c.rightmost not in crit)
+                if not (
+                    T.entry(c.row, c.columns[0]) == 0
+                    and len(c.columns) == 1
+                    and c.rightmost not in crit
+                )
             ]
             kept = verdict
             circled_zero = any(T.entry(i, j) == 0 for i, j in crit)
@@ -311,6 +322,164 @@ class TestStrictnessCounts:
             1048576,
             841140,
         )
+
+
+def per_value_row_analysis(rank, i, row):
+    """(components, probes) of one row of values, the way rows were once classified.
+
+    A component is a dict of its value and the fields of ``Component``; the
+    probes are the row's zero entries, then the earlier endpoints of every
+    edge inside a component that is not a symmetric multiple leaner.
+    """
+    r = rank
+    cols = list(range(i, 2 * r - i))
+    parent = {c: c for c in cols}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for a, b in row_chain_pairs(rank, i):
+        if row[a - i] == row[b - i]:
+            parent[find(a)] = find(b)
+    groups = {}
+    for c in cols:
+        groups.setdefault(find(c), []).append(c)
+    components = []
+    for columns in sorted(groups.values()):
+        left = sum(1 for c in columns if c <= r - 2)
+        right = sum(1 for c in columns if c >= r + 1)
+        maxcol = columns[-1]
+        comp = {
+            "value": row[columns[0] - i],
+            "columns": tuple(columns),
+            "kind": ORDINARY,
+            "rightmost": (i, r - 1) if maxcol == r and r - 1 in columns else (i, maxcol),
+            "length": None,
+            "shorter_leg_endpoint": None,
+            "upsilon": None,
+        }
+        if left and right and left == right:
+            comp.update(kind=ML_SYMMETRIC, length=left + 1, upsilon=(i, maxcol - 1))
+        elif left and right:
+            shorter = (i, columns[0]) if left < right else (i, maxcol)
+            comp.update(kind=ML_ASYMMETRIC, shorter_leg_endpoint=shorter)
+        components.append(comp)
+    probes = [(i, c) for c in cols if row[c - i] == 0]
+    for comp in components:
+        if comp["kind"] != ML_SYMMETRIC:
+            for a, b in row_chain_pairs(rank, i):
+                if a in comp["columns"] and b in comp["columns"]:
+                    probes.append((i, a))
+    return components, probes
+
+
+def per_value_strictness_failure(T, circled):
+    """``_strictness_failure`` over the per-value probes: zeros before leaners."""
+    failing = [
+        pos
+        for i, row in enumerate(T.rows, start=1)
+        for pos in per_value_row_analysis(T.rank, i, row)[1]
+        if pos in circled
+    ]
+    if not failing:
+        return None
+    i, j = min(failing, key=lambda pos: T.entry(*pos) > 0)
+    if T.entry(i, j) == 0:
+        return f"circled zero at row {i}, column {j}"
+    return f"circled entry at row {i}, column {j} leans on its equal right neighbor"
+
+
+def walked_rows(twist):
+    """Every (row index, row, circled positions) of the patterns under ``twist``."""
+    hw = HighestWeight.from_twist(twist)
+    seen = set()
+
+    def push(i, fills, moves, below):
+        seen.update((i, row, crit) for row, crit, *_ in fills)
+        _count_push(i, fills, moves, below)
+
+    _state_walk(len(twist), hw.m, None, 1, push)
+    return seen
+
+
+def random_rows(rank, count, seed):
+    """``count`` seeded (row index, admissible row, circled subset) at ``rank``.
+
+    Each entry is the least entry before it in the row chain, lowered by 0
+    or 1 at random and kept at 0 or above, so rows have many equal
+    neighbours and zeros.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        i = rng.randrange(1, rank)
+        above = {}
+        for a, b in row_chain_pairs(rank, i):
+            above.setdefault(b, []).append(a)
+        values = {}
+        for c in range(i, 2 * rank - i):
+            top = min((values[a] for a in above.get(c, [])), default=rng.randrange(5))
+            values[c] = max(0, top - rng.choice((0, 0, 1)))
+        row = tuple(values[c] for c in sorted(values))
+        crit = tuple((i, c) for c in sorted(values) if rng.random() < 0.3)
+        out.append((i, row, crit))
+    return out
+
+
+def one_row_pattern(rank, i, row):
+    rows = tuple(row if k == i else (0,) * (2 * (rank - k)) for k in range(1, rank))
+    return LittelmannPattern(rank, rows)
+
+
+class TestShapeTableAgainstPerValueRows:
+    """The shape table against a transcription of the former per-value classification."""
+
+    FIELDS = ("columns", "kind", "rightmost", "length", "shorter_leg_endpoint", "upsilon")
+
+    def check_row(self, rank, i, row, crit):
+        ref_components, ref_probes = per_value_row_analysis(rank, i, row)
+        components = _row_shape(rank, i, row)[0]
+        assert [{f: getattr(c, f) for f in self.FIELDS} for c in components] == [
+            {f: c[f] for f in self.FIELDS} for c in ref_components
+        ]
+        assert [row[c.columns[0] - i] for c in components] == [
+            c["value"] for c in ref_components
+        ]
+        nonstrict = any(pos in ref_probes for pos in crit)
+        assert bool(_circled_probes(rank, i, row, crit)) == nonstrict
+        assert (row_term(rank, i, row, crit, 2) is None) == nonstrict
+        T = one_row_pattern(rank, i, row)
+        assert _strictness_failure(T, set(crit)) == per_value_strictness_failure(T, set(crit))
+
+    @pytest.mark.parametrize("twist", [(0, 1, 2, 0), (0, 0, 0, 0)])
+    def test_every_walked_row_of_rank4(self, twist):
+        rows = walked_rows(twist)
+        assert len(rows) > 100
+        for i, row, crit in rows:
+            self.check_row(4, i, row, crit)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6, 7])
+    def test_seeded_random_rows(self, rank):
+        for i, row, crit in random_rows(rank, 400, seed=rank):
+            self.check_row(rank, i, row, crit)
+
+    @pytest.mark.parametrize(
+        "twist, weight", [((0, 0, 0, 0), None), ((0, 1, 2, 0), (10, 10, 17, 10))]
+    )
+    def test_failure_text_of_whole_patterns(self, twist, weight):
+        # Across rows, a circled zero in a later row is reported before a
+        # leaning vertex in an earlier one.
+        rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
+        for T, crit in enumerate_decorated(rs, hw, weight):
+            assert _strictness_failure(T, crit) == per_value_strictness_failure(T, crit)
+
+
+def test_d6_counts_classify_511_row_shapes():
+    _row_analysis.cache_clear()
+    strictness_counts(build_root_system(6), HighestWeight.from_twist((0,) * 6))
+    assert _row_analysis.cache_info().currsize == 511
 
 
 class TestRender:

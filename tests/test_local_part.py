@@ -70,30 +70,30 @@ class TestSigmaComponent:
         comp = _symmetric_leaner(4)
         circled = {comp.rightmost}
         expected = (-p(-1)) * (one() - p(-1)) * p(-1)
-        assert component_rule(comp, circled, 2)[0] == expected
+        assert component_rule(comp, 4, circled, 2)[0] == expected
 
     def test_symmetric_uncircled_rightmost(self):
         comp = _symmetric_leaner(4)
-        value = component_rule(comp, set(), 2)[0]
+        value = component_rule(comp, 4, set(), 2)[0]
         assert value == (one() - p(-1)) * (one() - p(-2))
 
     def test_symmetric_uncircled_length3(self):
         T = LittelmannPattern(4, ((2, 2, 2, 2, 2, 2), (1, 1, 1, 1), (1, 0)))
         comp = next(c for c in component_structure(T) if c.row == 1)
         assert comp.kind == ML_SYMMETRIC and comp.length == 3
-        assert component_rule(comp, set(), 2)[0] == (one() - p(-1)) * (one() - p(-3))
+        assert component_rule(comp, 2, set(), 2)[0] == (one() - p(-1)) * (one() - p(-3))
 
     def test_zero_component_is_unit(self):
         T = LittelmannPattern(2, ((0, 0),))
         for comp in component_structure(T):
-            assert component_rule(comp, set(), 3)[0] == RingElem.one(3)
+            assert component_rule(comp, 0, set(), 3)[0] == RingElem.one(3)
 
     def test_asymmetric_uses_shorter_leg_endpoint(self):
         T = LittelmannPattern(4, ((2, 2, 2, 2, 2, 0), (1, 1, 1, 1), (1, 0)))
         comp = next(c for c in component_structure(T) if c.row == 1 and len(c.columns) > 1)
         assert comp.shorter_leg_endpoint == (1, 5)
-        assert component_rule(comp, {(1, 5)}, 2)[0] == -p(-1)
-        assert component_rule(comp, {(1, 1)}, 2)[0] == one() - p(-1)
+        assert component_rule(comp, 2, {(1, 5)}, 2)[0] == -p(-1)
+        assert component_rule(comp, 2, {(1, 1)}, 2)[0] == one() - p(-1)
 
 
 class TestPatternContribution:
@@ -181,7 +181,8 @@ class TestRowRule:
                     expected = p(sum(row), 3)
                     for comp in component_structure(T):
                         if comp.row == i:
-                            expected = expected * component_rule(comp, row_crit, 3)[0]
+                            value = T.entry(i, comp.columns[0])
+                            expected = expected * component_rule(comp, value, row_crit, 3)[0]
                     assert factor == expected
             assert (None in factors) == (_strictness_failure(T, crit) is not None)
 
