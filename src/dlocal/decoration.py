@@ -43,6 +43,7 @@ from .pattern import (
     Position,
     _below,
     _check_args,
+    _group_total,
     _state_walk,
     row_chain_pairs,
 )
@@ -130,13 +131,13 @@ def _row_shape(rank: int, i: int, row: tuple[int, ...]):
     return _row_analysis(rank, i, tuple(row[a - i] == row[b - i] for a, b in pairs))
 
 
-def _circled_probes(rank: int, i: int, row: tuple[int, ...], crit) -> list[Position]:
+def _circled_probes(edges, i: int, row: tuple[int, ...], crit) -> list[Position]:
     """The positions of ``crit``, all in row i, that make a pattern nonstrict.
 
-    A circled entry is a probe when it is 0 or an edge probe of the row's
-    shape.  The positions keep their order in ``crit``.
+    ``edges`` are the edge probes of the row's shape (``_row_shape``).  A
+    circled entry is a probe when it is 0 or an edge probe.  The positions
+    keep their order in ``crit``.
     """
-    edges = _row_shape(rank, i, row)[1]
     return [pos for pos in crit if row[pos[1] - i] == 0 or pos in edges]
 
 
@@ -158,7 +159,9 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
     failing = [
         pos
         for i, row in enumerate(T.rows, start=1)
-        for pos in _circled_probes(T.rank, i, row, [c for c in circled if c[0] == i])
+        for pos in _circled_probes(
+            _row_shape(T.rank, i, row)[1], i, row, [c for c in circled if c[0] == i]
+        )
     ]
     if not failing:
         return None
@@ -168,20 +171,26 @@ def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:
     return f"circled entry at row {i}, column {j} leans on its equal right neighbor"
 
 
+def _add_counts(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
 def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[int, int]:
     """(total, nonstrict) over the bounded patterns, optionally of one weight.
 
-    A fill passes a state's strict count on only when it circles no probe of its row.
+    The walk carries (total, strict) per group of states with equal bounds,
+    along the fills of one of them (``pattern._group_total``).  A fill
+    passes the strict count on only when it circles no probe of its row.
     """
     lam = _check_args(rs, hw, weight)
     r = rs.rank
 
     def push(i, fills, moves, below):
-        passes = [not _circled_probes(r, i, f[0], f[1]) for f in fills]
-        for (S, t1, t2), (total, strict) in moves:
-            for passed, state in zip(passes, _below(S, t1, t2, fills)):
-                t, s = below.get(state, (0, 0))
-                below[state] = t + total, s + strict if passed else s
+        (S, t1, t2), (total, strict) = _group_total(moves, _add_counts)
+        for (row, crit, *_), state in zip(fills, _below(S, t1, t2, fills)):
+            nonstrict = _circled_probes(_row_shape(r, i, row)[1], i, row, crit)
+            t, s = below.get(state, (0, 0))
+            below[state] = t + total, s if nonstrict else s + strict
 
     counts = _state_walk(r, hw.m, lam, (1, 1), push).values()
     total = sum(c[0] for c in counts)

@@ -22,10 +22,11 @@ entries and components never cross rows, so this splits into row factors:
 p^(sum of the row) times the row's component contributions.  ``row_term``
 is the only code that forms a row factor; the assembly and
 ``pattern_contribution`` (which ``explain`` prints) both multiply its
-factors.  It asks ``decoration._circled_probes`` whether the row is
-strict, and reads the value of each component of the row's shape from the
-row.  It is memoized per (rank, row index, row values, circled positions,
-n), so the rule runs once per distinct row.
+factors.  It looks the row's shape up once, asks
+``decoration._circled_probes`` whether the row is strict, and reads the
+value of each component of the shape from the row.  It is memoized per
+(rank, row index, row values, circled positions, n), so the rule runs
+once per distinct row.
 
 A row's fills and its term depend only on the row and the state above
 it, so the assembly never visits a single pattern: ``_extend`` is the push
@@ -173,11 +174,12 @@ def row_term(
     component contributions, or None when a circled position is a
     strictness probe: the row makes the pattern nonstrict.
     """
-    if _circled_probes(rank, i, row, crit):
+    components, edges = _row_shape(rank, i, row)
+    if _circled_probes(edges, i, row, crit):
         return None
     unit = _one(n)
     factor = _p_pow(sum(row), n)
-    for comp in _row_shape(rank, i, row)[0]:
+    for comp in components:
         value = component_rule(comp, row[comp.columns[0] - i], crit, n)[0]
         if value.is_zero:
             return value

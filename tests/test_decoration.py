@@ -1,6 +1,7 @@
 """Graph components, leaner classification, and strictness."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,15 @@ from dlocal.decoration import (
     strictness_counts,
 )
 from dlocal.local_part import row_term
-from dlocal.pattern import _count_push, _state_walk
+from dlocal.pattern import (
+    _below,
+    _count_push,
+    _row_bases,
+    _row_fills,
+    _state_walk,
+    count_patterns,
+    weight_vector,
+)
 
 
 def make_pattern(*rows):
@@ -324,6 +333,94 @@ class TestStrictnessCounts:
         )
 
 
+def per_state_count(rs, hw):
+    """``count_patterns`` pushing every state along every fill, as it once did."""
+
+    def push(i, fills, moves, below):
+        for (S, t1, t2), value in moves:
+            for state in _below(S, t1, t2, fills):
+                below[state] = below.get(state, 0) + value
+
+    return sum(_state_walk(rs.rank, hw.m, None, 1, push).values())
+
+
+def per_state_strictness_counts(rs, hw, weight=None):
+    """``strictness_counts`` pushing every state along every fill, as it once did."""
+    r = rs.rank
+
+    def push(i, fills, moves, below):
+        passes = [not _circled_probes(_row_shape(r, i, f[0])[1], i, f[0], f[1]) for f in fills]
+        for (S, t1, t2), (total, strict) in moves:
+            for passed, state in zip(passes, _below(S, t1, t2, fills)):
+                t, s = below.get(state, (0, 0))
+                below[state] = t + total, s + strict if passed else s
+
+    counts = _state_walk(r, hw.m, weight, (1, 1), push).values()
+    total = sum(c[0] for c in counts)
+    return total, total - sum(c[1] for c in counts)
+
+
+def middle_weight(r, m):
+    """The weight of the pattern that takes the middle fill of every row."""
+    state, rows = ((0,) * (r - 1), 0, 0), []
+    for i in range(1, r):
+        fills = _row_fills(r, i, *_row_bases(r, m, i, *state))
+        k = len(fills) // 2
+        rows.append(fills[k][0])
+        state = _below(*state, fills)[k]
+    return weight_vector(LittelmannPattern(r, tuple(rows)))
+
+
+class TestGroupTotalsAgainstPerStatePushes:
+    """The counting pushes carry one total per group of states with equal
+    bounds.  They must give what pushing every state gave.  Whole walks
+    run on every twist in {0,1,2}^r at ranks 2 and 3 and {0,1}^4, on two
+    D5 twists and on untwisted D6; a per-state walk over all of
+    {0,1,2}^4 or {0,1}^5 takes 17 s or 35 s.  Targeted walks, which are
+    cheap, run at the middle weight of every twist in {0,1,2}^r for
+    r = 2..4 and {0,1}^5.
+    """
+
+    @pytest.mark.parametrize(
+        "twists",
+        [
+            list(product(range(3), repeat=2)),
+            list(product(range(3), repeat=3)),
+            list(product(range(2), repeat=4)),
+            [(0, 0, 0, 0, 0), (1, 0, 2, 0, 1)],
+            [(0,) * 6],
+        ],
+        ids=["D2", "D3", "D4", "D5", "D6"],
+    )
+    def test_whole_walks(self, twists):
+        for twist in twists:
+            rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
+            assert count_patterns(rs, hw) == per_state_count(rs, hw), twist
+            assert strictness_counts(rs, hw) == per_state_strictness_counts(rs, hw), twist
+
+    @pytest.mark.parametrize("rank, values", [(2, 3), (3, 3), (4, 3), (5, 2)])
+    def test_targeted_walks(self, rank, values):
+        rs = build_root_system(rank)
+        for twist in product(range(values), repeat=rank):
+            hw = HighestWeight.from_twist(twist)
+            weight = middle_weight(rank, hw.m)
+            counts = strictness_counts(rs, hw, weight)
+            assert counts[0] > 0
+            assert counts == per_state_strictness_counts(rs, hw, weight), twist
+
+    @pytest.mark.parametrize(
+        "twist, weight, expected",
+        [
+            ((0,) * 7, None, (2**42, 4_336_836_505_774)),
+            ((1, 0, 1, 0, 1, 0), None, (1_334_018_400_000, 1_090_239_045_116)),
+            ((1, 0, 2, 1, 0), (3, 3, 5, 6, 4), (2196, 1177)),
+        ],
+    )
+    def test_pinned_counts(self, twist, weight, expected):
+        rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
+        assert strictness_counts(rs, hw, weight) == expected
+
+
 def per_value_row_analysis(rank, i, row):
     """(components, probes) of one row of values, the way rows were once classified.
 
@@ -448,7 +545,8 @@ class TestShapeTableAgainstPerValueRows:
             c["value"] for c in ref_components
         ]
         nonstrict = any(pos in ref_probes for pos in crit)
-        assert bool(_circled_probes(rank, i, row, crit)) == nonstrict
+        edges = _row_shape(rank, i, row)[1]
+        assert bool(_circled_probes(edges, i, row, crit)) == nonstrict
         assert (row_term(rank, i, row, crit, 2) is None) == nonstrict
         T = one_row_pattern(rank, i, row)
         assert _strictness_failure(T, set(crit)) == per_value_strictness_failure(T, set(crit))

@@ -3,7 +3,7 @@
 import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -18,6 +18,7 @@ from dlocal import (
     weight_vector,
     weyl_dimension,
 )
+from dlocal import pattern as pattern_module
 from dlocal.pattern import _below, _complete, _row_bases, _row_fills, _state_walk
 
 
@@ -325,6 +326,11 @@ class TestEnumeration:
         assert count_patterns(rs, hw) == expected
         assert sum(1 for _ in patterns(rs, hw)) == expected
 
+    @pytest.mark.parametrize("r", [4, 5, 6, 7])
+    def test_untwisted_count_is_two_to_the_positive_roots(self, r):
+        # dim V(rho) = 2^(number of positive roots) = 2^(r(r-1)).
+        assert count_patterns(build_root_system(r), HighestWeight((1,) * r)) == 2 ** (r * (r - 1))
+
     def test_state_walk_drops_each_level(self):
         # The values a row's pushes consume are unreferenced once the level
         # below that row is built.  The start value stays with the caller.
@@ -349,16 +355,24 @@ class TestEnumeration:
         assert total == count_patterns(build_root_system(5), hw)
 
     def test_d6_count_fills_each_group_once(self, monkeypatch):
-        # 2,219 states between rows share 365 distinct bounds.
-        calls = []
+        # Each group's total goes along the fills of one of its states, so
+        # the count visits 1,652 states between rows, which share 365
+        # distinct bounds; per-state pushes would visit 2,219.
+        calls = {"_row_bases": 0, "_row_fills": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return _row_fills(*args)
+        def counted(name):
+            inner = getattr(pattern_module, name)
 
-        monkeypatch.setattr("dlocal.pattern._row_fills", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pattern_module, name, counted(name))
         assert count_patterns(build_root_system(6), HighestWeight((1,) * 6)) == 2**30
-        assert len(calls) == 365
+        assert calls == {"_row_bases": 1652, "_row_fills": 365}
 
     def test_enumerated_criticality_matches_direct_bounds(self):
         rs = build_root_system(3)
@@ -676,3 +690,47 @@ class TestGroupedFillsAgainstPerStateFills:
                     below.update(fill[2:] for fill in expected)
                 level = below
         assert len(groups) < states if lam is None else len(groups) <= states
+
+
+def child_bounds(bounds, fill):
+    """The bounds below ``fill`` from its group's bounds, by the rule in ``_state_walk``."""
+    bases, top, bot, caps = bounds
+    _, _, ds, d1, d2 = fill
+    dd = ds + (d1 + d2,)
+    below = tuple(bases[k + 1] + dd[k] - 2 * dd[k + 1] + dd[k + 2] for k in range(len(ds) - 1))
+    if caps is not None:
+        cap, top_cap, bot_cap = caps
+        caps = tuple(map(sub, cap[1:], ds[1:])), top_cap - d1, bot_cap - d2
+    return below, top + ds[-1] - 2 * d1, bot + ds[-1] - 2 * d2, caps
+
+
+class TestGroupChildrenShareBounds:
+    """The premise of the counting pushes: along one fill, every state of a
+    group leads to a state with the same bounds, the group's bounds moved
+    by the fill.  Checked on every group and fill of whole walks, each
+    state pushed on its own, and of one targeted walk.
+    """
+
+    @pytest.mark.parametrize(
+        "twist, lam",
+        [((1, 0, 2, 0, 1), None), ((0,) * 6, None), ((1, 0, 2, 1, 0), (3, 3, 5, 6, 4))],
+    )
+    def test_children_bounds_follow_from_group_bounds(self, twist, lam):
+        r = len(twist)
+        m = HighestWeight.from_twist(twist).m
+        checked = 0
+
+        def push(i, fills, moves, below):
+            nonlocal checked
+            moves = list(moves)
+            bounds = _row_bases(r, m, i, *moves[0][0], lam)
+            for state, _ in moves:
+                children = _below(*state, fills)
+                if i < r - 1:
+                    for fill, child in zip(fills, children):
+                        assert _row_bases(r, m, i + 1, *child, lam) == child_bounds(bounds, fill)
+                        checked += 1
+                below.update(dict.fromkeys(children, 0))
+
+        _state_walk(r, m, lam, 0, push)
+        assert checked > 100
