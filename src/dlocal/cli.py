@@ -202,18 +202,19 @@ def cmd_explain(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "dimension":
-        max_twist = 2 if args.max_twist is None else args.max_twist
-        reports = [check_dimension(max_rank=args.max_rank, max_twist=max_twist)]
-    elif args.suite == "tokuyama":
-        reports = [check_tokuyama(max_rank=args.max_rank)]
-    elif args.suite == "rank2":
-        max_twist = 3 if args.max_twist is None else args.max_twist
-        reports = [check_rank2(max_twist, args.max_n)]
-    elif args.suite == "example2":
-        reports = [check_example2()]
-    else:
+    if args.suite == "all":
         reports = check_all()
+    else:
+        # Each suite's check and the grid flags it reads.  A flag that was
+        # not given is not passed, so the defaults are the check's own.
+        check, flags = {
+            "dimension": (check_dimension, ("max_rank", "max_twist")),
+            "tokuyama": (check_tokuyama, ("max_rank",)),
+            "rank2": (check_rank2, ("max_twist", "max_n")),
+            "example2": (check_example2, ()),
+        }[args.suite]
+        given = {flag: getattr(args, flag) for flag in flags}
+        reports = [check(**{flag: v for flag, v in given.items() if v is not None})]
     if args.format == "json":
         payload = json.dumps([r.to_json_obj() for r in reports], separators=(",", ":"))
         _write(payload, args.output)
@@ -272,15 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("dimension", "tokuyama", "rank2", "example2", "all"),
         required=True,
     )
-    verify.add_argument("--max-rank", type=int, default=4, dest="max_rank")
-    verify.add_argument(
-        "--max-twist",
-        type=int,
-        default=None,
-        dest="max_twist",
-        help="defaults to the acceptance grid of the chosen suite",
-    )
-    verify.add_argument("--max-n", type=int, default=4, dest="max_n")
+    for flag in ("--max-rank", "--max-twist", "--max-n"):
+        verify.add_argument(
+            flag, type=int, help="defaults to the acceptance grid of the chosen suite"
+        )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", help="write to this path instead of stdout")
     verify.set_defaults(func=cmd_verify)

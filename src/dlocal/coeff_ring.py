@@ -20,7 +20,8 @@ and keeps ``out`` canonical as it goes: a coefficient that reaches 0 is
 deleted, and so is a polynomial left empty.  Its results are wrapped by
 the private constructor ``RingElem._wrap``, which skips the checks and the
 re-canonicalization of ``__init__``; those stay for elements built from
-outside (user code, ``from_json_obj``).
+outside (user code, ``from_json_obj``), which reject a value that is not
+an integer, or a negative g-exponent, rather than truncate it.
 """
 
 from __future__ import annotations
@@ -73,9 +74,13 @@ class RingElem:
                 raise ValueError(
                     f"g-exponent vector {gmono} has length {len(gmono)}, expected {n - 1}"
                 )
+            if any(int(e) != e or e < 0 for e in gmono):
+                raise ValueError(f"g-exponents must be integers >= 0, got {gmono}")
+            if any(int(v) != v for item in poly.items() for v in item):
+                raise ValueError(f"p-exponents and coefficients must be integers, got {poly}")
             cleaned = {int(e): int(c) for e, c in poly.items() if c != 0}
             if cleaned:
-                canonical[gmono] = cleaned
+                canonical[tuple(map(int, gmono))] = cleaned
         self.n = n
         self.terms = canonical
 

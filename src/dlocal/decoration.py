@@ -187,7 +187,7 @@ def strictness_counts(rs: RootSystemD, hw: HighestWeight, weight=None) -> tuple[
 
     def push(i, fills, moves, below):
         (S, t1, t2), (total, strict) = _group_total(moves, _add_counts)
-        for (row, crit, *_), state in zip(fills, _below(S, t1, t2, fills)):
+        for (row, crit), state in zip(fills, _below(S, t1, t2, fills)):
             nonstrict = _circled_probes(_row_shape(r, i, row)[1], i, row, crit)
             t, s = below.get(state, (0, 0))
             below[state] = t + total, s if nonstrict else s + strict

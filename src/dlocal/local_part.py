@@ -215,7 +215,7 @@ def _extend(r, n, i, fills, moves, below):
     """
     kept, factors = [], []
     for fill in fills:
-        factor = row_term(r, i, fill[0], fill[1], n)
+        factor = row_term(r, i, *fill, n)
         if factor is not None and factor.terms:
             kept.append(fill)
             factors.append(factor.terms)

@@ -38,6 +38,8 @@ The bounds are computed per row in one place: ``_row_bases`` maps the
 state above row i, (S(i-1..r-2, i-1), T1(i-1), T2(i-1)), to the row's
 bounds without their in-row terms.  ``_row_fills`` adds those terms as it
 places the entries, and ``critical_positions`` as it replays a pattern.
+A fill is just (row, crit), and ``_below`` alone steps a state past a row:
+for the walk, for ``critical_positions`` and for ``weight_vector``.
 
 Enumeration fills rows top to bottom.  Within a row the only order in
 which every bound is available as soon as its entry is placed is right to
@@ -81,7 +83,7 @@ class LittelmannPattern:
         r = self.rank
         if r < 2:
             raise ValueError(f"rank must be >= 2, got {r}")
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
         if len(rows) != r - 1:
             raise ValueError(f"expected {r - 1} rows, got {len(rows)}")
         for i, row in enumerate(rows, start=1):
@@ -89,9 +91,11 @@ class LittelmannPattern:
                 raise ValueError(
                     f"row {i} must have {2 * (r - i)} entries, got {len(row)}"
                 )
+            if any(int(v) != v for v in row):
+                raise ValueError(f"row {i} has a non-integer entry: {row}")
             if any(v < 0 for v in row):
                 raise ValueError(f"row {i} has a negative entry: {row}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in rows))
 
     # -- access -------------------------------------------------------------
 
@@ -177,10 +181,10 @@ def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
 def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Position]:
     """Positions whose entry meets its bound.
 
-    Replays T down its rows through ``_row_bases``, the bound routine of
-    the fills; the state above row i is the sum of ``row_weight`` over the
-    rows before it.  Raises ValueError when a row breaks the row chain or
-    an entry exceeds its bound (the first such entry in row-major order).
+    Replays T down its rows with the walk's own state: ``_row_bases`` of
+    the state above row i bounds the row, and ``_below`` steps past it.
+    Raises ValueError when a row breaks the row chain or an entry exceeds
+    its bound (the first such entry in row-major order).
     """
     r = T.rank
     if hw.rank != r:
@@ -188,11 +192,10 @@ def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Pos
     if not T.is_admissible():
         raise ValueError("pattern rows are not weakly decreasing")
     last = r - 2
-    w = (0,) * r  # weight of the rows above row i
+    state = ((0,) * (r - 1), 0, 0)
     crit = []
     for i, row in enumerate(T.rows, start=1):
-        S = tuple(w[r - c] if c else 0 for c in range(i - 1, r - 1))
-        bases, top_base, bot_base, _ = _row_bases(r, hw.m, i, S, w[0], w[1])
+        bases, top_base, bot_base, _ = _row_bases(r, hw.m, i, *state)
         cols = range(i, last + 1)
         # bars[k] bounds bar(i, i+k), lefts[k] bounds a_{i,i+k}; bar(i, r-1)
         # is a_{i,r}, so a_{i,j+1} + bar(i, j+1) is the middle pair at j = r-2.
@@ -210,28 +213,23 @@ def critical_positions(T: LittelmannPattern, hw: HighestWeight) -> frozenset[Pos
                 )
             if value == bound:
                 crit.append((i, c))
-        w = tuple(map(add, w, row_weight(r, i, row)))
+        (state,) = _below(*state, ((row, ()),))
     return frozenset(crit)
-
-
-def row_weight(rank: int, i: int, row: tuple[int, ...]) -> tuple[int, ...]:
-    """Row i's share of ``weight_vector``."""
-    r = rank
-    delta = [0] * r
-    delta[0], delta[1] = row[r - 1 - i], row[r - i]
-    for c in range(i, r - 1):  # column c feeds coordinate k = r+1-c
-        delta[r - c] = row[c - i] + row[2 * r - 1 - c - i]
-    return tuple(delta)
 
 
 def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
     """The exponent vector this pattern contributes to.
 
     Coordinates 1 and 2 are the column sums of the two middle columns; the
-    k-th coordinate for k >= 3 is the paired sum of column r+1-k.
+    k-th coordinate for k >= 3 is the paired sum of column r+1-k.  Column
+    i ends at row i, so S(i, i), first in the state below it, is final.
     """
-    deltas = (row_weight(T.rank, i, row) for i, row in enumerate(T.rows, start=1))
-    return tuple(map(sum, zip(*deltas)))
+    S, t1, t2 = (0,) * (T.rank - 1), 0, 0
+    finished = []  # S(i-1, i-1) for i = 1..r-1, S(0, 0) = 0 first
+    for row in T.rows:
+        finished.append(S[0])
+        ((S, t1, t2),) = _below(S, t1, t2, ((row, ()),))
+    return (t1, t2) + tuple(finished[:0:-1])
 
 
 # -- enumeration --------------------------------------------------------------
@@ -241,16 +239,17 @@ _NO_CAP = 1 << 62  # the cap of every column when no target weight is given
 
 
 def _row_fills(r, i, bases, top_base, bot_base, caps=None):
-    """Return (row, crit, ds, d1, d2) for every valid fill of row i.
+    """Return a list of (row, crit) for every valid fill of row i.
 
     The arguments after (r, i) are ``_row_bases`` of any state above row i
     with these bounds.  Caps prune the fill, and the last row adding to a
-    column must land exactly on the target.  ds[k] = a_{i,i+k} + bar(i,i+k)
-    adds to S(i+k, .); d1, d2 are a_{i,r-1}, a_{i,r}.  Entries are placed
-    right to left as the module docstring describes, into ``vals`` (vals[k]
-    = a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``crit`` lists the critical
-    positions in placement order.  A bound is met only by the largest value
-    of its range, so each loop runs the uncritical values, then that one.
+    column must land exactly on the target.  Entries are placed right to
+    left as the module docstring describes, into ``vals`` (vals[k] =
+    a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``row`` is ``vals`` as a tuple,
+    and ``crit`` lists the critical positions in placement order.  A bound
+    is met only by the largest value of its range, so each loop runs the
+    uncritical values, then that one.  What a fill adds to the column sums
+    is read off its row by ``_below``.
     """
     mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
     out = []
@@ -265,7 +264,7 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
             top_crit = ((i, r - 1),) if top == top_base else ()
             for bot in bots:
                 crit = top_crit + ((i, r),) if bot == bot_base else top_crit
-                out.append(((top, bot), crit, (), top, bot))
+                out.append(((top, bot), crit))
         return out
 
     exact = caps is not None
@@ -273,7 +272,6 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
     cap, top_cap, bot_cap = caps if exact else ((_NO_CAP,) * mid, _NO_CAP, _NO_CAP)
     size = 2 * mid + 2
     vals = [0] * size
-    ds = [0] * mid
     crit = []
 
     def fill_bars(k, prev):
@@ -321,20 +319,11 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
             high = cap[k] - b
             if high > bound:
                 high = bound
-            if exact and k == 1:
-                # a_{i,i} will be forced to v0 = cap[0] - bar(i, i), which must
-                # lie in [a_{i,i+1}, bases[0] + a_{i,i+1} + bar(i, i+1) - 2 bar(i, i)].
-                bi = vals[size - 1]
-                v0 = cap[0] - bi
-                high = v0 if v0 < high else high
-                low = max(low, v0 + 2 * bi - bases[0] - b)
             for v in range(low, high + 1 if high < bound else bound):
                 vals[k] = v
-                ds[k] = v + b
                 fill_left(k - 1, v, v + b)
             if high == bound >= low:
                 vals[k] = bound
-                ds[k] = bound + b
                 crit.append((i, i + k))
                 fill_left(k - 1, bound, bound + b)
                 crit.pop()
@@ -348,21 +337,26 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
         else:
             values = range(low, bound + 1)
         row_crit = tuple(crit)
-        d1, d2 = vals[mid], vals[mid + 1]
         for v in values:
             vals[0] = v
-            ds[0] = v + b
-            crit_v = row_crit + ((i, i),) if v == bound else row_crit
-            out.append((tuple(vals), crit_v, tuple(ds), d1, d2))
+            out.append((tuple(vals), row_crit + ((i, i),) if v == bound else row_crit))
 
     fill_bars(0, 0)
     return out
 
 
 def _below(S, t1, t2, fills):
-    """The states below row i that ``fills`` lead to from the state (S, t1, t2)."""
-    tail = S[1:]
-    return [(tuple(map(add, tail, ds)), t1 + d1, t2 + d2) for _, _, ds, d1, d2 in fills]
+    """The states below row i that ``fills`` lead to from the state (S, t1, t2).
+
+    The one place where a row becomes column sums: with mid = len(S) - 1, it
+    adds ds[k] = row[k] + row[-1-k] = a_{i,i+k} + bar(i,i+k) to S(i+k, .) for
+    k < mid, d1 = row[mid] to T1 and d2 = row[mid+1] to T2; S[0] leaves.
+    """
+    tail, mid = S[1:], len(S) - 1
+    return [
+        (tuple(map(add, tail, map(add, row, reversed(row)))), t1 + row[mid], t2 + row[mid + 1])
+        for row, _ in fills
+    ]
 
 
 def _state_walk(r, m, lam, start, push):
@@ -377,17 +371,18 @@ def _state_walk(r, m, lam, start, push):
     levels are held at once; a value is dropped once pushed, or with its level.
 
     The bounds below a fill depend only on the bounds above it and on the
-    fill, never on the state: with dd = ds + (d1 + d2,), the child's bases
-    are bases[k+1] + dd[k] - 2 dd[k+1] + dd[k+2], its top and bottom bases
-    top + ds[-1] - 2 d1 and bot + ds[-1] - 2 d2, and its caps (cap[1:] -
-    ds[1:], top cap - d1, bottom cap - d2).  So the children of a group's
-    states along one fill share one group.  A push whose values are sums
-    over patterns, as the counts are, may therefore carry a group's total
-    along the fills of one state (``_group_total``); the final keys of such
-    a walk are representatives, not every state.  The local part pushes
-    per state: under a target weight each group is a single state (bounds
-    and caps fix the state), and its sums are keyed by the column sums that
-    each state has finished, so a trial that keyed its walk by bounds made
+    fill, never on the state: with ds, d1, d2 what ``_below`` reads off the
+    fill's row and dd = ds + (d1 + d2,), the child's bases are bases[k+1] +
+    dd[k] - 2 dd[k+1] + dd[k+2], its top and bottom bases top + ds[-1] -
+    2 d1 and bot + ds[-1] - 2 d2, and its caps (cap[1:] - ds[1:], top cap -
+    d1, bottom cap - d2).  So the children of a group's states along one
+    fill share one group.  A push whose values are sums over patterns, as
+    the counts are, may therefore carry a group's total along the fills of
+    one state (``_group_total``); the final keys of such a walk are
+    representatives, not every state.  The local part pushes per state:
+    under a target weight each group is a single state (bounds and caps fix
+    the state), and its sums are keyed by the column sums that each state
+    has finished, so a trial that keyed its walk by bounds made
     single-coefficient queries 10-20 % slower and the full D4 part no
     faster.
     """
@@ -409,7 +404,7 @@ def _complete(r, m, lam, i, S, t1, t2):
         yield (), ()
         return
     fills = sorted(_row_fills(r, i, *_row_bases(r, m, i, S, t1, t2, lam)))
-    for (row, crit, *_), state in zip(fills, _below(S, t1, t2, fills)):
+    for (row, crit), state in zip(fills, _below(S, t1, t2, fills)):
         for rest_rows, rest_crit in _complete(r, m, lam, i + 1, *state):
             yield (row,) + rest_rows, (crit,) + rest_crit
 

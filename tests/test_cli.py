@@ -264,6 +264,37 @@ class TestVerify:
         assert code == 0
         assert ranks == [5]
 
+    @pytest.mark.parametrize(
+        "argv, check, expected",
+        [
+            (["--suite", "dimension"], "check_dimension", {}),
+            (["--suite", "dimension", "--max-twist", "1", "--max-n", "9"], "check_dimension",
+             {"max_twist": 1}),
+            (["--suite", "tokuyama", "--max-twist", "5", "--max-n", "9"], "check_tokuyama", {}),
+            (["--suite", "rank2", "--max-n", "2", "--max-rank", "9"], "check_rank2",
+             {"max_n": 2}),
+            (["--suite", "rank2", "--max-twist", "0"], "check_rank2", {"max_twist": 0}),
+        ],
+    )
+    def test_only_given_grid_flags_reach_the_suite(self, capsys, monkeypatch, argv, check,
+                                                   expected):
+        # A flag left out is not passed, so the check's own defaults hold.
+        from dlocal import cli
+        from dlocal.oracle import VerificationReport
+
+        calls = []
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            report = VerificationReport("recorded")
+            report.add("case", 1, 1)
+            return report
+
+        monkeypatch.setattr(cli, check, recording)
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert calls == [expected]
+
     def test_rank2_flags_only_widen_the_rank1_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "rank2", "--max-twist", "0", "--max-n", "1")
         assert code == 0

@@ -96,6 +96,29 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             RingElem(2, {(1, 1): {0: 1}})
 
+    @pytest.mark.parametrize(
+        "n, terms",
+        [
+            (1, {(): {0: 1.5}}),  # a coefficient
+            (1, {(): {0.5: 1}}),  # a p-exponent
+            (2, {(1.5,): {0: 1}}),  # a g-exponent
+            (2, {(-1,): {0: 1}}),  # the ring is polynomial in g
+        ],
+    )
+    def test_non_integers_rejected_not_truncated(self, n, terms):
+        with pytest.raises(ValueError):
+            RingElem(n, terms)
+
+    def test_json_non_integer_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            RingElem.from_json_obj({"n": 1, "terms": [{"g": [], "p": [[2.9, 0]]}]})
+
+    def test_integral_values_are_stored_as_ints(self):
+        elem = RingElem(2, {(1.0,): {2.0: 3.0}})
+        assert elem == gauss_symbol(1, 2) * p(2, n=2) * 3
+        assert all(type(e) is int for g in elem.terms for e in g)
+        assert str(elem) == "3*p^2*g1"
+
     def test_g_vector_length_matches_cover(self):
         elem = gauss_symbol(2, 4) * gauss_symbol(3, 4) * p(5, n=4)
         assert all(len(g) == 3 for g in elem.terms)

@@ -2,8 +2,9 @@
 
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement, product
-from operator import add, sub
+from operator import sub
 
 import pytest
 
@@ -149,6 +150,11 @@ class TestShape:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             LittelmannPattern(2, ((0, -1),))
+
+    def test_non_integer_entry_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            LittelmannPattern(2, ((1.9, 0),))
+        assert LittelmannPattern(2, ((2.0, 0),)).rows == ((2, 0),)
 
     def test_bar_accessor_reflects(self):
         T = LittelmannPattern.from_string("5,4,3,2,1,0;3,2,1,1;1,0")
@@ -530,8 +536,8 @@ class TestRowFillsAgainstBounds:
 # The per-state fills of the earlier backward walk, transcribed: the state
 # above row i is the whole tuple s (s[c-1] = S(c, i-1) for c = 1..r-2), and
 # each fill carries the whole tuple after the row.  The grouped fills must
-# give the same rows and critical tuples, and their ds must give the same
-# sums.
+# give the same rows and critical tuples, and ``_below`` must step the state
+# to the same sums.
 
 _NO_CAP = 1 << 62
 
@@ -654,10 +660,10 @@ def per_state_row_fills(r, m, i, s, t1, t2, lam):
 
 class TestGroupedFillsAgainstPerStateFills:
     """On every state of D4 that the per-state fills reach, with and without
-    a target, the fills of the state's group plus their ds give the
-    per-state 5-tuples, in the same order.  The targets are every weight of
-    the untwisted patterns, and every tenth weight of the twisted n = 2
-    local part's support.
+    a target, the fills of the state's group and the states ``_below`` steps
+    them to give the per-state 5-tuples, in the same order.  The targets are
+    every weight of the untwisted patterns, and every tenth weight of the
+    twisted n = 2 local part's support.
     """
 
     @pytest.mark.parametrize("twist", [(0, 0, 0, 0), (0, 1, 2, 0)])
@@ -679,12 +685,16 @@ class TestGroupedFillsAgainstPerStateFills:
                 for s, t1, t2 in sorted(level):
                     states += 1
                     expected = per_state_row_fills(r, hw.m, i, s, t1, t2, lam)
-                    bounds = _row_bases(r, hw.m, i, ((0,) + s)[i - 1 :], t1, t2, lam)
+                    state = ((0,) + s)[i - 1 :], t1, t2
+                    bounds = _row_bases(r, hw.m, i, *state, lam)
                     if bounds not in groups:
                         groups[bounds] = _row_fills(r, i, *bounds)
+                    fills = groups[bounds]
                     actual = [
-                        (row, crit, s[: i - 1] + tuple(map(add, s[i - 1 :], ds)), t1 + d1, t2 + d2)
-                        for row, crit, ds, d1, d2 in groups[bounds]
+                        (row, crit, s[: i - 1] + below_s, below_t1, below_t2)
+                        for (row, crit), (below_s, below_t1, below_t2) in zip(
+                            fills, _below(*state, fills)
+                        )
                     ]
                     assert actual == expected, (lam, i, s, t1, t2)
                     below.update(fill[2:] for fill in expected)
@@ -692,10 +702,20 @@ class TestGroupedFillsAgainstPerStateFills:
         assert len(groups) < states if lam is None else len(groups) <= states
 
 
+def row_sums(row):
+    """(ds, d1, d2): what row i adds to S(i..r-2, .), T1 and T2.
+
+    Read off the entries directly, not through ``_below``: ds[k] =
+    a_{i,i+k} + bar(i,i+k), then the middle pair a_{i,r-1}, a_{i,r}.
+    """
+    mid = len(row) // 2 - 1
+    return tuple(row[k] + row[-1 - k] for k in range(mid)), row[mid], row[mid + 1]
+
+
 def child_bounds(bounds, fill):
     """The bounds below ``fill`` from its group's bounds, by the rule in ``_state_walk``."""
     bases, top, bot, caps = bounds
-    _, _, ds, d1, d2 = fill
+    ds, d1, d2 = row_sums(fill[0])
     dd = ds + (d1 + d2,)
     below = tuple(bases[k + 1] + dd[k] - 2 * dd[k + 1] + dd[k + 2] for k in range(len(ds) - 1))
     if caps is not None:
@@ -734,3 +754,74 @@ class TestGroupChildrenShareBounds:
 
         _state_walk(r, m, lam, 0, push)
         assert checked > 100
+
+
+def walk_weights(r, m):
+    """Every weight of the bounded patterns, from a walk that carries the
+    column sums each state has finished."""
+
+    def push(i, fills, moves, below):
+        for (S, t1, t2), keys in moves:
+            done = {key + (S[0],) for key in keys}
+            for state in _below(S, t1, t2, fills):
+                below.setdefault(state, set()).update(done)
+
+    last = _state_walk(r, m, None, {()}, push)
+    return sorted({(t1, t2) + key[:0:-1] for (_, t1, t2), keys in last.items() for key in keys})
+
+
+class TestTargetedFillsAreFilteredFills:
+    """Under a target, a row's fills are its untargeted fills filtered by
+    the caps of ``_row_bases``, in the same order with the same critical
+    tuples.  A fill is kept when its row adds at most cap[k] to each column
+    and exactly cap[0] to column i, which no later row reaches; its middle
+    pair adds at most the middle caps, and exactly them at the last row.
+    Checked on every state of the targeted walks: all weights of every
+    twist in {0,1,2}^3, every 40th weight of every twist in {0,1}^4, and
+    three weights of untwisted D5.
+    """
+
+    @staticmethod
+    def kept(fill, caps, last):
+        cap, top_cap, bot_cap = caps
+        ds, d1, d2 = row_sums(fill[0])
+        if last:
+            return (d1, d2) == (top_cap, bot_cap)
+        below_caps = all(d <= c for d, c in zip(ds, cap)) and d1 <= top_cap and d2 <= bot_cap
+        return below_caps and ds[0] == cap[0]
+
+    def check_walks(self, r, twist, lams):
+        m = HighestWeight.from_twist(twist).m
+        untargeted = {}
+        checked = 0
+
+        def push(lam, i, fills, moves, below):
+            nonlocal checked
+            for state, _ in moves:
+                bases, top, bot, caps = _row_bases(r, m, i, *state, lam)
+                key = bases, top, bot
+                if key not in untargeted:
+                    untargeted[key] = _row_fills(r, i, *key)
+                expected = [f for f in untargeted[key] if self.kept(f, caps, i == r - 1)]
+                assert fills == expected, (lam, i, state)
+                below.update(dict.fromkeys(_below(*state, fills), 0))
+                checked += 1
+
+        for lam in lams:
+            _state_walk(r, m, lam, 0, partial(push, lam))
+        return checked
+
+    @pytest.mark.parametrize("twist", list(product(range(3), repeat=3)))
+    def test_rank3_every_weight(self, twist):
+        lams = walk_weights(3, HighestWeight.from_twist(twist).m)
+        assert self.check_walks(3, twist, lams) >= 2 * len(lams)
+
+    @pytest.mark.parametrize("twist", list(product(range(2), repeat=4)))
+    def test_rank4_weights(self, twist):
+        lams = walk_weights(4, HighestWeight.from_twist(twist).m)[::40]
+        assert self.check_walks(4, twist, lams) >= 3 * len(lams)
+
+    def test_untwisted_rank5(self):
+        lams = walk_weights(5, (1,) * 5)
+        lams = [lams[len(lams) // 4], lams[len(lams) // 2], lams[3 * len(lams) // 4]]
+        assert self.check_walks(5, (0,) * 5, lams) > 30
