@@ -73,7 +73,10 @@ class LocalPart:
     coefficients: dict[tuple[int, ...], RingElem] = field(default_factory=dict)
 
     def coefficient_at(self, lam) -> RingElem:
-        return self.coefficients.get(tuple(lam), RingElem.zero(self.n))
+        lam = tuple(lam)
+        if len(lam) != self.rank:
+            raise ValueError(f"weight must have {self.rank} entries, got {len(lam)}")
+        return self.coefficients.get(lam, RingElem.zero(self.n))
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coefficients)

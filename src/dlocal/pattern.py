@@ -36,7 +36,7 @@ dimension for every tested highest weight.
 
 The bounds are computed per row in one place: ``_row_bases`` maps the
 state above row i, (S(i-1..r-2, i-1), T1(i-1), T2(i-1)), to the row's
-bounds without their in-row terms.  ``_row_fills`` adds those terms as it
+bounds without their in-row terms.  ``_fill_row`` adds those terms as it
 places the entries, and ``critical_positions`` as it replays a pattern.
 A fill is just (row, crit), and ``_below`` alone steps a state past a row:
 for the walk, for ``critical_positions`` and for ``weight_vector``.
@@ -57,14 +57,14 @@ of states with equal bounds, and ``count_patterns``, ``local_part`` and
 ``decoration.strictness_counts`` each supply its push.  The two counting
 pushes also push once per group: the group's total goes along the fills
 of one of its states, since what lies below a state depends only on its
-bounds.
+bounds.  Targeted fills come from buckets that queries share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, le
 from typing import Iterator
 
 from .root_data import HighestWeight, RootSystemD
@@ -235,29 +235,53 @@ def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
 # -- enumeration --------------------------------------------------------------
 
 
-_NO_CAP = 1 << 62  # the cap of every column when no target weight is given
-
-
 def _row_fills(r, i, bases, top_base, bot_base, caps=None):
-    """Return a list of (row, crit) for every valid fill of row i.
+    """A fresh list of (row, crit) for every valid fill of row i.
 
-    The arguments after (r, i) are ``_row_bases`` of any state above row i
-    with these bounds.  Caps prune the fill, and the last row adding to a
-    column must land exactly on the target.  Entries are placed right to
-    left as the module docstring describes, into ``vals`` (vals[k] =
-    a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``row`` is ``vals`` as a tuple,
-    and ``crit`` lists the critical positions in placement order.  A bound
-    is met only by the largest value of its range, so each loop runs the
-    uncritical values, then that one.  What a fill adds to the column sums
-    is read off its row by ``_below``.
+    The arguments after (r, i) are ``_row_bases`` of a state above row i.
+    Under caps a fill adds exactly cap[0] to column i (at the last row the
+    middle caps) and at most the other caps: a ``_row_bucket``, filtered.
+    """
+    if caps is None:
+        return _fill_row(r, i, bases, top_base, bot_base)
+    cap, top_cap, bot_cap = caps
+    first = cap[0] if cap else (top_cap, bot_cap)
+    limits = cap[1:] + (top_cap, bot_cap)
+    bucket = _row_bucket(r, i, bases, top_base, bot_base, first)
+    return [fill for adds, fill in bucket if all(map(le, adds, limits))]
+
+
+@lru_cache(maxsize=None)
+def _row_bucket(r, i, bases, top_base, bot_base, first):
+    """(adds, fill) for the fills of row i that add ``first`` to column i.
+
+    ``first`` is (d1, d2) at the last row; adds = (ds[1..mid-1], d1, d2),
+    read off by ``_below``, is what the fill adds under the other caps.
+    The cache is unbounded, like ``row_term``'s: queries on one highest
+    weight meet the same buckets again (a coeff-queries round makes 4,721
+    targeted row fills from 1,040 buckets), and a bucket holds, and a cold
+    query enumerates, every fill of its slice, not just those under caps.
+    """
+    fills = _fill_row(r, i, bases, top_base, bot_base, first)
+    adds = _below((0,) * (r - i), 0, 0, fills)
+    return tuple((ds[1:] + (d1, d2), fill) for (ds, d1, d2), fill in zip(adds, fills))
+
+def _fill_row(r, i, bases, top_base, bot_base, first=None):
+    """(row, crit) for the fills of row i: all, or those adding ``first``.
+
+    Entries go right to left as the module docstring describes, into
+    ``vals`` (vals[k] = a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``crit`` lists
+    the critical positions in placement order.  A bound is met only by the
+    largest value of its range, so each loop runs the uncritical values,
+    then that one.  ``first`` fixes a_{i,i}, or the last row's middle pair.
     """
     mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
     out = []
     if mid == 0:  # the last row holds only the middle pair
-        if caps is None:
+        if first is None:
             tops, bots = range(top_base + 1), range(bot_base + 1)
         else:
-            _, top, bot = caps
+            top, bot = first
             tops = (top,) if 0 <= top <= top_base else ()
             bots = (bot,) if 0 <= bot <= bot_base else ()
         for top in tops:
@@ -267,9 +291,6 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
                 out.append(((top, bot), crit))
         return out
 
-    exact = caps is not None
-    # cap[k] caps bar(i, i+k), and cap[k] - bar(i, i+k) caps a_{i,i+k}.
-    cap, top_cap, bot_cap = caps if exact else ((_NO_CAP,) * mid, _NO_CAP, _NO_CAP)
     size = 2 * mid + 2
     vals = [0] * size
     crit = []
@@ -279,12 +300,11 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
             fill_mid(prev)
             return
         bound = bases[k] + prev
-        high = cap[k] if cap[k] < bound else bound
         x = size - 1 - k
-        for v in range(prev, high + 1 if high < bound else bound):
+        for v in range(prev, bound):
             vals[x] = v
             fill_bars(k + 1, v)
-        if high == bound >= prev:
+        if bound >= prev:
             vals[x] = bound
             crit.append((i, i + x))
             fill_bars(k + 1, bound)
@@ -293,13 +313,11 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
     def fill_mid(low):
         top_bound = top_base + low
         bot_bound = bot_base + low
-        top_high = top_cap if top_cap < top_bound else top_bound
-        bot_high = bot_cap if bot_cap < bot_bound else bot_bound
-        for top in range(low, top_high + 1):
+        for top in range(low, top_bound + 1):
             vals[mid] = top
             if top == top_bound:
                 crit.append((i, r - 1))
-            for bot in range(low, bot_high + 1):
+            for bot in range(low, bot_bound + 1):
                 vals[mid + 1] = bot
                 floor = top if top > bot else bot
                 if bot == bot_bound:
@@ -316,26 +334,23 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None):
         b = vals[size - 1 - k]
         if k:
             bound = bases[k] + inner - 2 * b + vals[size - k]
-            high = cap[k] - b
-            if high > bound:
-                high = bound
-            for v in range(low, high + 1 if high < bound else bound):
+            for v in range(low, bound):
                 vals[k] = v
                 fill_left(k - 1, v, v + b)
-            if high == bound >= low:
+            if bound >= low:
                 vals[k] = bound
                 crit.append((i, i + k))
                 fill_left(k - 1, bound, bound + b)
                 crit.pop()
             return
         bound = bases[0] + inner - 2 * b
-        if exact:
-            v = cap[0] - b
+        if first is None:
+            values = range(low, bound + 1)
+        else:
+            v = first - b
             if not low <= v <= bound:
                 return
             values = (v,)
-        else:
-            values = range(low, bound + 1)
         row_crit = tuple(crit)
         for v in values:
             vals[0] = v
@@ -376,15 +391,12 @@ def _state_walk(r, m, lam, start, push):
     dd[k] - 2 dd[k+1] + dd[k+2], its top and bottom bases top + ds[-1] -
     2 d1 and bot + ds[-1] - 2 d2, and its caps (cap[1:] - ds[1:], top cap -
     d1, bottom cap - d2).  So the children of a group's states along one
-    fill share one group.  A push whose values are sums over patterns, as
-    the counts are, may therefore carry a group's total along the fills of
-    one state (``_group_total``); the final keys of such a walk are
-    representatives, not every state.  The local part pushes per state:
-    under a target weight each group is a single state (bounds and caps fix
-    the state), and its sums are keyed by the column sums that each state
-    has finished, so a trial that keyed its walk by bounds made
-    single-coefficient queries 10-20 % slower and the full D4 part no
-    faster.
+    fill share one group, and a push whose values are sums over patterns,
+    as the counts are, may carry a group's total along the fills of one
+    state (``_group_total``); the final keys are then representatives.  The
+    local part pushes per state: under a target weight each group is one
+    state, and a trial that keyed its walk by bounds made single-coefficient
+    queries 10-20 % slower; ``_row_bucket`` shares such groups' fills.
     """
     level = {((0,) * (r - 1), 0, 0): start}
     for i in range(1, r):
@@ -413,9 +425,10 @@ def _check_args(rs: RootSystemD, hw: HighestWeight, weight_filter):
     if hw.rank != rs.rank:
         raise ValueError(f"rank mismatch: root system {rs.rank}, weight {hw.rank}")
     if weight_filter is not None:
-        weight_filter = tuple(int(v) for v in weight_filter)
-        if len(weight_filter) != rs.rank or any(v < 0 for v in weight_filter):
+        weight_filter = tuple(weight_filter)
+        if len(weight_filter) != rs.rank or any(int(v) != v or v < 0 for v in weight_filter):
             raise ValueError(f"weight filter must be {rs.rank} nonnegative integers")
+        weight_filter = tuple(map(int, weight_filter))
     return weight_filter
 
 

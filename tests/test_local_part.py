@@ -20,6 +20,7 @@ from dlocal import (
 )
 from dlocal.decoration import ML_SYMMETRIC, _strictness_failure, component_structure
 from dlocal.local_part import component_rule, row_term
+from dlocal.pattern import _row_bucket
 
 
 def p(e, n=2):
@@ -302,6 +303,29 @@ class TestLocalPart:
                     assert local_part(rs, hw, n, weight=lam).coefficients == {lam: value}
                 outside = tuple(v + 1 for v in max(full.coefficients))
                 assert local_part(rs, hw, n, weight=outside).coefficients == {}
+
+    def test_every_d4_weight_cold_then_warm(self):
+        # Each of the 2,438 support weights of D4 (0,1,2,0) n=2, and one
+        # outside it: sorted from cold row buckets, then reversed from warm.
+        rs, hw = build_root_system(4), HighestWeight.from_twist((0, 1, 2, 0))
+        full = local_part(rs, hw, 2).coefficients
+        lams = sorted(full) + [tuple(v + 1 for v in max(full))]
+        assert len(lams) == 2439
+        _row_bucket.cache_clear()
+        for lam in lams + lams[::-1]:
+            expected = {lam: full[lam]} if lam in full else {}
+            assert local_part(rs, hw, 2, weight=lam).coefficients == expected, lam
+
+    def test_non_integer_weight_rejected_not_truncated(self):
+        rs, hw = build_root_system(3), HighestWeight((1, 1, 1))
+        with pytest.raises(ValueError):
+            local_part(rs, hw, 1, weight=(1.5, 1, 1))
+
+    def test_coefficient_at_rejects_wrong_length(self):
+        part = local_part(build_root_system(3), HighestWeight((1, 1, 1)), 1)
+        for lam in ((1, 1), (1, 1, 1, 0)):
+            with pytest.raises(ValueError):
+                part.coefficient_at(lam)
 
     def test_rejects_bad_cover_degree(self):
         rs = build_root_system(2)

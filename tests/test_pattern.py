@@ -20,7 +20,14 @@ from dlocal import (
     weyl_dimension,
 )
 from dlocal import pattern as pattern_module
-from dlocal.pattern import _below, _complete, _row_bases, _row_fills, _state_walk
+from dlocal.pattern import (
+    _below,
+    _complete,
+    _row_bases,
+    _row_bucket,
+    _row_fills,
+    _state_walk,
+)
 
 
 def zero_pattern(r):
@@ -825,3 +832,45 @@ class TestTargetedFillsAreFilteredFills:
         lams = walk_weights(5, (1,) * 5)
         lams = [lams[len(lams) // 4], lams[len(lams) // 2], lams[3 * len(lams) // 4]]
         assert self.check_walks(5, (0,) * 5, lams) > 30
+
+
+class TestTargetedFillsShareBuckets:
+    """Targeted row fills come from cached buckets that no caller can change."""
+
+    def test_repeated_query_runs_no_kernel(self, monkeypatch):
+        calls = []
+        kernel = pattern_module._fill_row
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(pattern_module, "_fill_row", counted)
+        rs, hw, lam = build_root_system(5), HighestWeight((1,) * 5), (3, 3, 5, 6, 4)
+        _row_bucket.cache_clear()
+        first = local_part(rs, hw, 1, weight=lam).coefficients
+        assert calls
+        calls.clear()
+        assert local_part(rs, hw, 1, weight=lam).coefficients == first
+        assert calls == []
+
+    def test_returned_fills_are_a_fresh_list(self):
+        hw = HighestWeight((1,) * 4)
+        bounds = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, (4, 4, 6, 4))
+        fills = _row_fills(4, 1, *bounds)
+        kept = list(fills)
+        assert kept
+        fills.clear()
+        again = _row_fills(4, 1, *bounds)
+        assert again == kept and again is not fills
+
+    def test_bucket_entries_are_tuples(self):
+        hw = HighestWeight.from_twist((0, 1, 2, 0))
+        bases, top, bot, (cap, _, _) = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, (10, 10, 17, 10))
+        bucket = _row_bucket(4, 1, bases, top, bot, cap[0])
+        assert isinstance(bucket, tuple) and bucket
+        for entry in bucket:
+            adds, (row, crit) = entry
+            assert all(type(x) is tuple for x in (entry, adds, entry[1], row, crit))
+            ds, d1, d2 = row_sums(row)
+            assert ds[0] == cap[0] and adds == ds[1:] + (d1, d2)
