@@ -5,6 +5,10 @@ enumerate the Littelmann patterns bounded by a highest weight, decorate
 each pattern's graph, discard nonstrict patterns, and sum the Gauss-sum
 valued contributions into the generating function N(x; l).  All
 arithmetic is exact; nothing here uses floating point.
+
+The verification suites (``check_all`` and the other names of
+``dlocal.oracle``) load on first use, so ``import dlocal`` loads only the
+code that computing runs.
 """
 
 from .coeff_ring import RingElem, gauss_symbol
@@ -18,16 +22,6 @@ from .local_part import (
     local_part,
     pattern_contribution,
     sigma_entry,
-)
-from .oracle import (
-    VerificationReport,
-    check_all,
-    check_dimension,
-    check_example2,
-    check_rank2,
-    check_tokuyama,
-    kubota_local,
-    tokuyama_product,
 )
 from .pattern import (
     LittelmannPattern,
@@ -46,6 +40,26 @@ from .root_data import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = {
+    "VerificationReport",
+    "check_all",
+    "check_dimension",
+    "check_example2",
+    "check_rank2",
+    "check_tokuyama",
+    "kubota_local",
+    "tokuyama_product",
+}
+
+
+def __getattr__(name):
+    """Load ``dlocal.oracle`` the first time one of its names is asked for."""
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Component",

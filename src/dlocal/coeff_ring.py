@@ -26,9 +26,10 @@ an integer, or a negative g-exponent, rather than truncate it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
+
+from .root_data import _int
 
 
 def _mul_add(out, a, b) -> None:
@@ -65,23 +66,25 @@ class RingElem:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError(f"cover degree n must be >= 1, got {n}")
+        degree = _int(n)
+        if degree is None or degree < 1:
+            raise ValueError(f"cover degree n must be an integer >= 1, got {n!r}")
         canonical: dict[tuple[int, ...], dict[int, int]] = {}
         for gmono, poly in (terms or {}).items():
-            gmono = tuple(gmono)
-            if len(gmono) != n - 1:
+            exps = tuple(map(_int, gmono))
+            if len(exps) != degree - 1:
                 raise ValueError(
-                    f"g-exponent vector {gmono} has length {len(gmono)}, expected {n - 1}"
+                    f"g-exponent vector {gmono} has length {len(exps)}, expected {degree - 1}"
                 )
-            if any(int(e) != e or e < 0 for e in gmono):
+            if None in exps or any(e < 0 for e in exps):
                 raise ValueError(f"g-exponents must be integers >= 0, got {gmono}")
-            if any(int(v) != v for item in poly.items() for v in item):
+            items = [tuple(map(_int, item)) for item in poly.items()]
+            if any(None in item for item in items):
                 raise ValueError(f"p-exponents and coefficients must be integers, got {poly}")
-            cleaned = {int(e): int(c) for e, c in poly.items() if c != 0}
+            cleaned = {e: c for e, c in items if c != 0}
             if cleaned:
-                canonical[tuple(map(int, gmono))] = cleaned
-        self.n = n
+                canonical[exps] = cleaned
+        self.n = degree
         self.terms = canonical
 
     @classmethod
@@ -109,7 +112,7 @@ class RingElem:
     @classmethod
     def p_power(cls, e: int, n: int) -> "RingElem":
         """The monomial p^e (e may be negative)."""
-        return cls(n, {(0,) * (n - 1): {int(e): 1}})
+        return cls(n, {(0,) * (n - 1): {e: 1}})
 
     # -- ring operations ---------------------------------------------------
 
@@ -177,6 +180,8 @@ class RingElem:
 
     def evaluate(self, p_value, g_values=()) -> Fraction:
         """Substitute rational values for p and every g_k."""
+        from fractions import Fraction
+
         p_value = Fraction(p_value)
         if p_value == 0:
             raise ValueError("p must be nonzero")
@@ -193,6 +198,8 @@ class RingElem:
 
     def eval_p(self, p_value) -> dict[tuple[int, ...], Fraction]:
         """Substitute a rational p only, keeping the g-monomials formal."""
+        from fractions import Fraction
+
         p_value = Fraction(p_value)
         if p_value == 0:
             raise ValueError("p must be nonzero")

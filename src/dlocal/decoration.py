@@ -34,9 +34,8 @@ factor ``local_part.row_term``, the push of ``strictness_counts`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .pattern import (
     LittelmannPattern,
@@ -54,8 +53,7 @@ ML_ASYMMETRIC = "ml_asymmetric"
 ML_SYMMETRIC = "ml_symmetric"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component of a row shape; its vertices share one value."""
 
     row: int

@@ -38,7 +38,6 @@ mutates a RingElem or a term dict once formed, so sharing is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -60,17 +59,19 @@ from .pattern import (
     _state_walk,
     critical_positions,
 )
-from .root_data import HighestWeight, RootSystemD
+from .root_data import HighestWeight, RootSystemD, _Record, _int
 
 
-@dataclass
-class LocalPart:
+class LocalPart(_Record):
     """Finite map from weight vectors to exact coefficients a_lambda."""
 
-    rank: int
-    n: int
-    twist: tuple[int, ...]
-    coefficients: dict[tuple[int, ...], RingElem] = field(default_factory=dict)
+    __slots__ = ("rank", "n", "twist", "coefficients")
+
+    def __init__(self, rank: int, n: int, twist: tuple[int, ...], coefficients=None):
+        self.rank = rank
+        self.n = n
+        self.twist = twist
+        self.coefficients = {} if coefficients is None else coefficients
 
     def coefficient_at(self, lam) -> RingElem:
         lam = tuple(lam)
@@ -262,8 +263,10 @@ def local_part(
     nothing; it is kept, and still rejected when negative, only because
     ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
-    if n < 1:
-        raise ValueError(f"cover degree n must be >= 1, got {n}")
+    degree = _int(n)
+    if degree is None or degree < 1:
+        raise ValueError(f"cover degree n must be an integer >= 1, got {n!r}")
+    n = degree
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     lam = _check_args(rs, hw, weight)

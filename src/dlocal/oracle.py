@@ -21,18 +21,17 @@ Four suites, each comparing canonical forms exactly (never numerically):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .coeff_ring import RingElem, gauss_symbol
 from .decoration import _strictness_failure, strictness_counts
 from .local_part import LocalPart, local_part, pattern_contribution, sigma_entry
 from .pattern import count_patterns, enumerate_decorated, weight_vector
-from .root_data import HighestWeight, RootSystemD, build_root_system, weyl_dimension
+from .root_data import HighestWeight, RootSystemD, _Record, build_root_system, weyl_dimension
 
 
-@dataclass
-class Case:
+class Case(NamedTuple):
     description: str
     expected: str
     actual: str
@@ -42,10 +41,14 @@ class Case:
         return self.expected == self.actual
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    cases: list[Case] = field(default_factory=list)
+class VerificationReport(_Record):
+    """The cases of one suite, in the order they were added."""
+
+    __slots__ = ("suite", "cases")
+
+    def __init__(self, suite: str, cases=None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     def add(self, description: str, expected, actual) -> None:
         self.cases.append(Case(description, str(expected), str(actual)))

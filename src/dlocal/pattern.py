@@ -62,40 +62,41 @@ bounds.  Targeted fills come from buckets that queries share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le
 from typing import Iterator
 
-from .root_data import HighestWeight, RootSystemD
+from .root_data import HighestWeight, RootSystemD, _Frozen, _int
 
 Position = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LittelmannPattern:
+class LittelmannPattern(_Frozen):
     """Immutable pattern; rows[i-1][j-i] stores a_{i,j}."""
 
-    rank: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rank", "rows")
 
-    def __post_init__(self):
-        r = self.rank
-        if r < 2:
-            raise ValueError(f"rank must be >= 2, got {r}")
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rank: int, rows):
+        r = _int(rank)
+        if r is None or r < 2:
+            raise ValueError(f"rank must be an integer >= 2, got {rank!r}")
+        rows = tuple(tuple(row) for row in rows)
         if len(rows) != r - 1:
             raise ValueError(f"expected {r - 1} rows, got {len(rows)}")
+        ints = []
         for i, row in enumerate(rows, start=1):
             if len(row) != 2 * (r - i):
                 raise ValueError(
                     f"row {i} must have {2 * (r - i)} entries, got {len(row)}"
                 )
-            if any(int(v) != v for v in row):
+            values = tuple(map(_int, row))
+            if None in values:
                 raise ValueError(f"row {i} has a non-integer entry: {row}")
-            if any(v < 0 for v in row):
+            if any(v < 0 for v in values):
                 raise ValueError(f"row {i} has a negative entry: {row}")
-        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in rows))
+            ints.append(values)
+        object.__setattr__(self, "rank", r)
+        object.__setattr__(self, "rows", tuple(ints))
 
     # -- access -------------------------------------------------------------
 
@@ -425,10 +426,10 @@ def _check_args(rs: RootSystemD, hw: HighestWeight, weight_filter):
     if hw.rank != rs.rank:
         raise ValueError(f"rank mismatch: root system {rs.rank}, weight {hw.rank}")
     if weight_filter is not None:
-        weight_filter = tuple(weight_filter)
-        if len(weight_filter) != rs.rank or any(int(v) != v or v < 0 for v in weight_filter):
+        lam = tuple(map(_int, weight_filter))
+        if len(lam) != rs.rank or None in lam or any(v < 0 for v in lam):
             raise ValueError(f"weight filter must be {rs.rank} nonnegative integers")
-        weight_filter = tuple(map(int, weight_filter))
+        weight_filter = lam
     return weight_filter
 
 

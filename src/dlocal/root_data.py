@@ -15,11 +15,25 @@ degenerates to two disconnected nodes (A1 x A1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class RootSystemD:
+def _int(value):
+    """``value`` as an int when it is integral, else None; nothing is truncated.
+
+    Integral floats and other integral numbers give ints.  A value that
+    ``int`` cannot take (None, an infinite or NaN float, a string) is not
+    integral either, so every caller can turn each bad value into one
+    ValueError.
+    """
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
+class RootSystemD(NamedTuple):
     """Positive roots of D_r, each a coefficient vector over the simple roots.
 
     ``positive_roots`` is sorted by (height, lexicographic), which fixes the
@@ -31,28 +45,72 @@ class RootSystemD:
     cartan: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class HighestWeight:
+class _Record:
+    """Base of the record classes: fields in ``__slots__``, set in ``__init__``.
+
+    Instances of one class compare, print and pickle by their field values,
+    as a dataclass would.  A mutable record is unhashable.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """An immutable, hashable record; ``__init__`` sets it with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class HighestWeight(_Frozen):
     """A strictly dominant weight, stored through its coefficients m_k >= 1.
 
     The twist vector l with l_i = m_i - 1 determines and is determined by m.
     """
 
-    m: tuple[int, ...]
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if len(self.m) == 0:
+    def __init__(self, m):
+        m = tuple(m)
+        ints = tuple(map(_int, m))
+        if not ints:
             raise ValueError("empty highest weight")
-        if any(int(mk) != mk or mk < 1 for mk in self.m):
-            raise ValueError(f"all m_k must be integers >= 1, got {self.m}")
-        object.__setattr__(self, "m", tuple(int(mk) for mk in self.m))
+        if None in ints or min(ints) < 1:
+            raise ValueError(f"all m_k must be integers >= 1, got {m}")
+        object.__setattr__(self, "m", ints)
 
     @classmethod
     def from_twist(cls, twist) -> "HighestWeight":
-        twist = tuple(int(l) for l in twist)
-        if any(l < 0 for l in twist):
-            raise ValueError(f"twist entries must be >= 0, got {twist}")
-        return cls(tuple(l + 1 for l in twist))
+        twist = tuple(twist)
+        ints = tuple(map(_int, twist))
+        if None in ints or any(l < 0 for l in ints):
+            raise ValueError(f"twist entries must be integers >= 0, got {twist}")
+        return cls(tuple(l + 1 for l in ints))
 
     @property
     def rank(self) -> int:

@@ -103,11 +103,24 @@ class TestCanonicalForm:
             (1, {(): {0.5: 1}}),  # a p-exponent
             (2, {(1.5,): {0: 1}}),  # a g-exponent
             (2, {(-1,): {0: 1}}),  # the ring is polynomial in g
+            (1, {(): {float("inf"): 1}}),
+            (1, {(): {0: float("nan")}}),
+            (1, {(): {None: 1}}),
+            (2, {(None,): {0: 1}}),
+            (2, {("1",): {0: 1}}),
+            (1.5, {}),  # the cover degree
+            (float("inf"), {}),
+            (None, {}),
         ],
     )
     def test_non_integers_rejected_not_truncated(self, n, terms):
         with pytest.raises(ValueError):
             RingElem(n, terms)
+
+    def test_p_power_exponent_not_truncated(self):
+        with pytest.raises(ValueError):
+            RingElem.p_power(1.5, 1)
+        assert RingElem.p_power(2.0, 1) == p(2, n=1)
 
     def test_json_non_integer_coefficient_rejected(self):
         with pytest.raises(ValueError):

@@ -332,6 +332,23 @@ class TestLocalPart:
         with pytest.raises(ValueError):
             local_part(rs, HighestWeight((1, 1)), n=0)
 
+    @pytest.mark.parametrize("bad", [1.5, float("inf"), float("nan"), None, "2"])
+    def test_non_integral_cover_degree_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            local_part(build_root_system(2), HighestWeight((1, 1)), n=bad)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), None, "1"])
+    def test_non_integral_weight_raises_value_error(self, bad):
+        rs, hw = build_root_system(3), HighestWeight((1, 1, 1))
+        with pytest.raises(ValueError):
+            local_part(rs, hw, 1, weight=(bad, 1, 1))
+
+    def test_integral_float_cover_degree_is_an_int(self):
+        rs, hw = build_root_system(3), HighestWeight((1, 2, 1))
+        part = local_part(rs, hw, 2.0)
+        assert type(part.n) is int
+        assert part.to_json_str() == local_part(rs, hw, 2).to_json_str()
+
 
 def _reference_json_obj(part):
     """The object whose ``json.dumps`` the JSON writer must reproduce (test-only)."""

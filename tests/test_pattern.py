@@ -163,6 +163,16 @@ class TestShape:
             LittelmannPattern(2, ((1.9, 0),))
         assert LittelmannPattern(2, ((2.0, 0),)).rows == ((2, 0),)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), None, "1"])
+    def test_non_integral_entry_raises_value_error(self, bad):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            LittelmannPattern(2, ((bad, 0),))
+
+    @pytest.mark.parametrize("bad", [2.5, float("inf"), None])
+    def test_non_integral_rank_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            LittelmannPattern(bad, ((0, 0),))
+
     def test_bar_accessor_reflects(self):
         T = LittelmannPattern.from_string("5,4,3,2,1,0;3,2,1,1;1,0")
         assert T.bar(1, 1) == T.entry(1, 6)

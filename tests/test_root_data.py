@@ -153,6 +153,21 @@ class TestHighestWeight:
         with pytest.raises(ValueError):
             HighestWeight.from_twist((0, -1))
 
+    @pytest.mark.parametrize("bad", [1.5, float("inf"), float("nan"), None, "2"])
+    def test_non_integral_coefficient_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            HighestWeight((1, bad))
+
+    @pytest.mark.parametrize("bad", [1.5, float("inf"), float("nan"), None, "1"])
+    def test_non_integral_twist_raises_value_error_not_truncated(self, bad):
+        with pytest.raises(ValueError):
+            HighestWeight.from_twist((bad, 0))
+
+    def test_integral_floats_are_stored_as_ints(self):
+        for hw in (HighestWeight((2.0, 1)), HighestWeight.from_twist((1.0, 0))):
+            assert hw.m == (2, 1)
+            assert all(type(mk) is int for mk in hw.m)
+
 
 class TestWeylDimension:
     def test_d4_minimal_twist(self):
