@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .coeff_ring import _gmono_str
 from .decoration import (
@@ -23,13 +22,6 @@ from .decoration import (
     strictness_counts,
 )
 from .local_part import LocalPart, component_rule, local_part, pattern_contribution
-from .oracle import (
-    check_all,
-    check_dimension,
-    check_example2,
-    check_rank2,
-    check_tokuyama,
-)
 from .pattern import (
     LittelmannPattern,
     critical_positions,
@@ -47,6 +39,8 @@ def _int_vector(text: str) -> tuple[int, ...]:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -202,6 +196,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import check_all, check_dimension, check_example2, check_rank2, check_tokuyama
+
     if args.suite == "all":
         reports = check_all()
     else:

@@ -56,6 +56,14 @@ def _mul_add(out, a, b) -> None:
                 del out[g]
 
 
+def _degree(n) -> int:
+    """``n`` as a cover degree, an int >= 1; anything else raises ValueError."""
+    degree = _int(n)
+    if degree is None or degree < 1:
+        raise ValueError(f"cover degree n must be an integer >= 1, got {n!r}")
+    return degree
+
+
 @lru_cache(maxsize=None)
 def _unit_terms(n: int):
     """The terms of 1; shared, so never passed as ``out``."""
@@ -66,9 +74,7 @@ class RingElem:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        degree = _int(n)
-        if degree is None or degree < 1:
-            raise ValueError(f"cover degree n must be an integer >= 1, got {n!r}")
+        degree = _degree(n)
         canonical: dict[tuple[int, ...], dict[int, int]] = {}
         for gmono, poly in (terms or {}).items():
             exps = tuple(map(_int, gmono))
@@ -103,6 +109,7 @@ class RingElem:
 
     @classmethod
     def integer(cls, c: int, n: int) -> "RingElem":
+        n = _degree(n)
         return cls(n, {(0,) * (n - 1): {0: c}})
 
     @classmethod
@@ -112,6 +119,7 @@ class RingElem:
     @classmethod
     def p_power(cls, e: int, n: int) -> "RingElem":
         """The monomial p^e (e may be negative)."""
+        n = _degree(n)
         return cls(n, {(0,) * (n - 1): {e: 1}})
 
     # -- ring operations ---------------------------------------------------
@@ -290,11 +298,10 @@ def _gmono_str(gmono: tuple[int, ...]) -> str:
 
 def gauss_symbol(k: int, n: int) -> RingElem:
     """The symbol g_{k mod n}, with g_0 eliminated as the constant -1."""
-    if n < 1:
-        raise ValueError(f"cover degree n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"Gauss symbol index must be >= 0, got {k}")
-    k = k % n
+    n, index = _degree(n), _int(k)
+    if index is None or index < 0:
+        raise ValueError(f"Gauss symbol index must be an integer >= 0, got {k!r}")
+    k = index % n
     if k == 0:
         return RingElem.integer(-1, n)
     gmono = tuple(1 if idx == k - 1 else 0 for idx in range(n - 1))

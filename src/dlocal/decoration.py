@@ -61,8 +61,6 @@ class Component(NamedTuple):
     kind: str
     rightmost: Position
     length: Optional[int] = None  # ml_symmetric only
-    shorter_leg_endpoint: Optional[Position] = None  # ml_asymmetric only
-    upsilon: Optional[Position] = None  # ml_symmetric only
 
 
 def _classify(rank: int, i: int, columns: list[int]) -> Component:
@@ -74,26 +72,13 @@ def _classify(rank: int, i: int, columns: list[int]) -> Component:
     # Both middle vertices are rightmost when a component ends at r: take the upper.
     rightmost = (i, r - 1) if maxcol == r and r - 1 in columns else (i, maxcol)
 
+    kind, length = ORDINARY, None
     if left >= 1 and right >= 1:
         assert r - 1 in columns and r in columns, "a leaner spans both middle columns"
-        if left == right:
-            return Component(
-                row=i,
-                columns=tuple(columns),
-                kind=ML_SYMMETRIC,
-                rightmost=rightmost,
-                length=left + 1,
-                upsilon=(i, maxcol - 1),
-            )
-        shorter = (i, columns[0]) if left < right else (i, maxcol)
-        return Component(
-            row=i,
-            columns=tuple(columns),
-            kind=ML_ASYMMETRIC,
-            rightmost=rightmost,
-            shorter_leg_endpoint=shorter,
-        )
-    return Component(row=i, columns=tuple(columns), kind=ORDINARY, rightmost=rightmost)
+        kind, length = (ML_SYMMETRIC, left + 1) if left == right else (ML_ASYMMETRIC, None)
+    return Component(
+        row=i, columns=tuple(columns), kind=kind, rightmost=rightmost, length=length
+    )
 
 
 @lru_cache(maxsize=None)

@@ -167,6 +167,23 @@ class TestExplain:
         )
         assert "excluded" in out
 
+    def test_asymmetric_leaner_tag_names_the_rule_not_a_vertex(self, capsys):
+        # Row 2's asymmetric leaner has its shorter-leg endpoint, (2, 6),
+        # circled, a case no strict pattern reaches; the pattern is
+        # nonstrict, and the tag claims no endpoint state.
+        code, out, _ = run(
+            capsys,
+            "explain", "--pattern", "0,0,0,0,0,0,0,0;1,1,1,1,1,0;0,0,0,0;0,0",
+            "--twist", "0,0,0,0,0", "--n", "2",
+        )
+        assert code == 0
+        assert (
+            "row 2 columns [2,3,4,5,6] value 1: ml_asymmetric; "
+            "asymmetric leaner -> sigma(y) uncircled; factor = skipped"
+        ) in out.splitlines()
+        assert "endpoint" not in out
+        assert "strict: no (circled zero at row 3, column 3)" in out
+
     def test_contribution_is_pattern_contribution(self, capsys):
         # The two contributing patterns of the published weight class.
         rs = build_root_system(4)
@@ -236,7 +253,7 @@ class TestVerify:
         assert payload[0]["passed"] is True
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        from dlocal import cli
+        from dlocal import oracle
         from dlocal.oracle import VerificationReport
 
         def broken():
@@ -244,13 +261,13 @@ class TestVerify:
             report.add("forced", 1, 2)
             return report
 
-        monkeypatch.setattr(cli, "check_example2", broken)
+        monkeypatch.setattr(oracle, "check_example2", broken)
         code, out, _ = run(capsys, "verify", "--suite", "example2")
         assert code == 1
         assert "[FAIL]" in out
 
     def test_tokuyama_max_rank_reaches_suite(self, capsys, monkeypatch):
-        from dlocal import cli
+        from dlocal import oracle
         from dlocal.oracle import VerificationReport
 
         ranks = []
@@ -259,7 +276,7 @@ class TestVerify:
             ranks.append(max_rank)
             return VerificationReport("tokuyama")
 
-        monkeypatch.setattr(cli, "check_tokuyama", recording)
+        monkeypatch.setattr(oracle, "check_tokuyama", recording)
         code, _, _ = run(capsys, "verify", "--suite", "tokuyama", "--max-rank", "5")
         assert code == 0
         assert ranks == [5]
@@ -279,7 +296,7 @@ class TestVerify:
     def test_only_given_grid_flags_reach_the_suite(self, capsys, monkeypatch, argv, check,
                                                    expected):
         # A flag left out is not passed, so the check's own defaults hold.
-        from dlocal import cli
+        from dlocal import oracle
         from dlocal.oracle import VerificationReport
 
         calls = []
@@ -290,7 +307,7 @@ class TestVerify:
             report.add("case", 1, 1)
             return report
 
-        monkeypatch.setattr(cli, check, recording)
+        monkeypatch.setattr(oracle, check, recording)
         code, _, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert calls == [expected]

@@ -35,6 +35,33 @@ class TestGaussSymbol:
         with pytest.raises(ValueError):
             gauss_symbol(-1, 2)
 
+    @pytest.mark.parametrize(
+        "k, n", [(1.5, 2), (1, 1.5), (None, 2), (1, None), ("1", 2)], ids=repr
+    )
+    def test_non_integers_rejected_not_truncated(self, k, n):
+        with pytest.raises(ValueError):
+            gauss_symbol(k, n)
+
+    def test_integral_arguments_are_taken_as_ints(self):
+        assert gauss_symbol(2.0, 3.0) == gauss_symbol(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (RingElem.one, (None,)),
+        (RingElem.one, (1.5,)),
+        (RingElem.integer, (1, 1.5)),
+        (RingElem.p_power, (1, 1.5)),
+        (RingElem.p_power, (1, 0)),
+        (RingElem.zero, (1.5,)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_constructors_reject_a_non_integral_cover_degree(build, args):
+    with pytest.raises(ValueError, match="cover degree"):
+        build(*args)
+
 
 class TestArithmetic:
     def test_geometric_cancellation(self):

@@ -99,7 +99,6 @@ class TestComponents:
         assert comp.columns == (2, 3, 4, 5)
         assert comp.length == 2
         assert comp.rightmost == (1, 5)
-        assert comp.upsilon == (1, 4)  # the lower middle vertex
 
     def test_longer_left_leg_is_asymmetric(self):
         # Columns r-3..r+1 equal: left leg has two vertices, right leg one.
@@ -107,7 +106,6 @@ class TestComponents:
         comp = next(c for c in component_structure(T) if c.row == 1 and len(c.columns) > 1)
         assert comp.kind == ML_ASYMMETRIC
         assert comp.columns == (1, 2, 3, 4, 5)
-        assert comp.shorter_leg_endpoint == (1, 5)
         assert comp.length is None
 
     def test_longer_right_leg_shorter_endpoint_is_leftmost(self):
@@ -115,7 +113,6 @@ class TestComponents:
         comp = next(c for c in component_structure(T) if c.row == 1 and len(c.columns) > 1)
         assert comp.kind == ML_ASYMMETRIC
         assert comp.columns == (2, 3, 4, 5, 6)
-        assert comp.shorter_leg_endpoint == (1, 2)
 
     def test_two_rightmost_vertices_resolve_to_upper(self):
         # a_{1,2} = a_{1,3} = a_{1,4} != a_{1,5}: ordinary with a middle tie.
@@ -454,14 +451,11 @@ def per_value_row_analysis(rank, i, row):
             "kind": ORDINARY,
             "rightmost": (i, r - 1) if maxcol == r and r - 1 in columns else (i, maxcol),
             "length": None,
-            "shorter_leg_endpoint": None,
-            "upsilon": None,
         }
         if left and right and left == right:
-            comp.update(kind=ML_SYMMETRIC, length=left + 1, upsilon=(i, maxcol - 1))
+            comp.update(kind=ML_SYMMETRIC, length=left + 1)
         elif left and right:
-            shorter = (i, columns[0]) if left < right else (i, maxcol)
-            comp.update(kind=ML_ASYMMETRIC, shorter_leg_endpoint=shorter)
+            comp.update(kind=ML_ASYMMETRIC)
         components.append(comp)
     probes = [(i, c) for c in cols if row[c - i] == 0]
     for comp in components:
@@ -533,7 +527,7 @@ def one_row_pattern(rank, i, row):
 class TestShapeTableAgainstPerValueRows:
     """The shape table against a transcription of the former per-value classification."""
 
-    FIELDS = ("columns", "kind", "rightmost", "length", "shorter_leg_endpoint", "upsilon")
+    FIELDS = ("columns", "kind", "rightmost", "length")
 
     def check_row(self, rank, i, row, crit):
         ref_components, ref_probes = per_value_row_analysis(rank, i, row)

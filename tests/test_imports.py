@@ -68,8 +68,14 @@ def test_import_dlocal_loads_no_dataclasses_fractions_or_suites():
 
 def test_import_cli_loads_no_dataclasses():
     added = added_modules("import dlocal.cli")
-    assert "dlocal.oracle" in added
+    assert "dlocal.local_part" in added  # the check saw the import
     assert added.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_import_cli_loads_neither_the_suites_nor_fractions():
+    added = added_modules("import dlocal.cli")
+    assert "dlocal.cli" in added
+    assert added.isdisjoint({"dlocal.oracle", "fractions"})
 
 
 def test_suites_load_on_first_use():

@@ -18,7 +18,12 @@ from dlocal import (
     tokuyama_product,
     weight_vector,
 )
-from dlocal.decoration import ML_SYMMETRIC, _strictness_failure, component_structure
+from dlocal.decoration import (
+    ML_ASYMMETRIC,
+    ML_SYMMETRIC,
+    _strictness_failure,
+    component_structure,
+)
 from dlocal.local_part import component_rule, row_term
 from dlocal.pattern import _row_bucket
 
@@ -55,6 +60,13 @@ class TestSigmaEntry:
         with pytest.raises(ValueError):
             sigma_entry(-1, False, 2)
 
+    @pytest.mark.parametrize(
+        "value, circled, n", [(1.5, True, 2), (1.5, False, 1), (2, False, 1.5), (None, False, 2)]
+    )
+    def test_non_integers_rejected_not_truncated(self, value, circled, n):
+        with pytest.raises(ValueError):
+            sigma_entry(value, circled, n)
+
 
 def _symmetric_leaner(value):
     # Row 1 of a rank-4 pattern with columns 2..5 equal: length-2 leaner.
@@ -72,6 +84,9 @@ class TestSigmaComponent:
         circled = {comp.rightmost}
         expected = (-p(-1)) * (one() - p(-1)) * p(-1)
         assert component_rule(comp, 4, circled, 2)[0] == expected
+        # upsilon, (1, 4), is read as uncircled: no strict pattern circles it
+        # beside a circled rightmost vertex (tests/test_unreached_rules.py).
+        assert component_rule(comp, 4, circled | {(1, 4)}, 2)[0] == expected
 
     def test_symmetric_uncircled_rightmost(self):
         comp = _symmetric_leaner(4)
@@ -89,12 +104,15 @@ class TestSigmaComponent:
         for comp in component_structure(T):
             assert component_rule(comp, 0, set(), 3)[0] == RingElem.one(3)
 
-    def test_asymmetric_uses_shorter_leg_endpoint(self):
+    def test_asymmetric_is_sigma_uncircled_whatever_is_circled(self):
+        # Columns 1..5 equal: the shorter leg ends at (1, 5).  No strict
+        # pattern circles that endpoint (tests/test_unreached_rules.py).
         T = LittelmannPattern(4, ((2, 2, 2, 2, 2, 0), (1, 1, 1, 1), (1, 0)))
         comp = next(c for c in component_structure(T) if c.row == 1 and len(c.columns) > 1)
-        assert comp.shorter_leg_endpoint == (1, 5)
-        assert component_rule(comp, 2, {(1, 5)}, 2)[0] == -p(-1)
-        assert component_rule(comp, 2, {(1, 1)}, 2)[0] == one() - p(-1)
+        assert comp.kind == ML_ASYMMETRIC
+        for circled in (set(), {(1, 5)}, {(1, 1)}, {(1, c) for c in comp.columns}):
+            assert component_rule(comp, 2, circled, 2)[0] == one() - p(-1)
+            assert component_rule(comp, 3, circled, 2)[0] == RingElem.zero(2)
 
 
 class TestPatternContribution:

@@ -24,8 +24,7 @@ from dlocal.oracle import Case
 
 RS2_REPR = "RootSystemD(rank=2, positive_roots=((0, 1), (1, 0)), cartan=((2, 0), (0, 2)))"
 COMPONENT_REPR = (
-    "Component(row=1, columns=(1,), kind='ordinary', rightmost=(1, 1), "
-    "length=None, shorter_leg_endpoint=None, upsilon=None)"
+    "Component(row=1, columns=(1,), kind='ordinary', rightmost=(1, 1), length=None)"
 )
 
 

@@ -1,7 +1,8 @@
 """Two branches of the component rule that no strict pattern reaches.
 
-``local_part.component_rule`` implements the paper's full rule, but two of
-its cases have never contributed on any grid tried:
+The paper's component rule has two cases that no strict pattern has
+reached on any grid tried, and ``local_part.component_rule`` does not code
+them:
 
   - an asymmetric multiple leaner whose shorter-leg endpoint is circled;
   - a symmetric multiple leaner whose rightmost vertex and upsilon are
@@ -9,10 +10,12 @@ its cases have never contributed on any grid tried:
 
 ``unreached_rule_counts`` counts the strict patterns with a row in either
 case by a walk built like the push of ``decoration.strictness_counts``,
-and the tests assert 0.  Its total and strict counts must equal
+and the tests assert 0; this is what makes the shorter rule exact on
+these grids.  Its total and strict counts must equal
 ``strictness_counts``, so a 0 means every strict pattern was looked at.
-CI runs the same walk on a larger grid (D6 on three twists and untwisted
-D7) by importing ``unreached_rule_counts`` from this module.
+CI runs the same walk on a larger grid (D5 on three more twists, D6 on
+four and untwisted D7) by importing ``unreached_rule_counts`` from this
+module.
 """
 
 from functools import lru_cache
@@ -33,14 +36,23 @@ from dlocal.pattern import _below, _group_total, _state_walk
 
 
 def fill_kind(r: int, i: int, row: tuple, crit: tuple) -> str:
-    """Classify a fill of row i: "nonstrict", "reached" (strict, in either case) or "strict"."""
+    """Classify a fill of row i: "nonstrict", "reached" (strict, in either case) or "strict".
+
+    The shorter-leg endpoint of an asymmetric leaner is its first column
+    when its left leg (columns <= r-2) is the shorter, else its last; the
+    upsilon of a symmetric leaner is the column just left of its last.
+    """
     components, edges = _row_shape(r, i, row)
     if _circled_probes(edges, i, row, crit):
         return "nonstrict"
     for comp in components:
-        if comp.kind == ML_ASYMMETRIC and comp.shorter_leg_endpoint in crit:
-            return "reached"
-        if comp.kind == ML_SYMMETRIC and comp.rightmost in crit and comp.upsilon in crit:
+        columns = comp.columns
+        if comp.kind == ML_ASYMMETRIC:
+            left = sum(1 for c in columns if c <= r - 2)
+            right = sum(1 for c in columns if c >= r + 1)
+            if (i, columns[0] if left < right else columns[-1]) in crit:
+                return "reached"
+        if comp.kind == ML_SYMMETRIC and comp.rightmost in crit and (i, columns[-1] - 1) in crit:
             return "reached"
     return "strict"
 
