@@ -3,8 +3,9 @@
 One binary with subcommands; every number printed is exact unless the
 explicitly non-canonical --eval-p substitution is requested.  Exit status
 0 on success, 1 when a verification suite fails, 2 on usage errors: bad
-flags and any ValueError, OSError or OverflowError (a huge --n) raised on
-a subcommand's input or --output path, each reported as one ``error:`` line.
+flags and any ValueError, OSError, OverflowError (a huge --n) or
+MemoryError (an --n too large to allocate) raised on a subcommand's input
+or --output path, each reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (is --n too large?)", file=sys.stderr)
         return 2
 
 

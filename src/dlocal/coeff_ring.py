@@ -304,5 +304,5 @@ def gauss_symbol(k: int, n: int) -> RingElem:
     k = index % n
     if k == 0:
         return RingElem.integer(-1, n)
-    gmono = tuple(1 if idx == k - 1 else 0 for idx in range(n - 1))
+    gmono = (0,) * (k - 1) + (1,) + (0,) * (n - 1 - k)
     return RingElem(n, {gmono: {0: 1}})

@@ -24,11 +24,11 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .coeff_ring import RingElem, gauss_symbol
+from .coeff_ring import RingElem, _degree, gauss_symbol
 from .decoration import _strictness_failure, strictness_counts
 from .local_part import LocalPart, local_part, pattern_contribution, sigma_entry
 from .pattern import count_patterns, enumerate_decorated, weight_vector
-from .root_data import HighestWeight, RootSystemD, _Record, build_root_system, weyl_dimension
+from .root_data import HighestWeight, RootSystemD, _int, _Record, build_root_system, weyl_dimension
 
 
 class Case(NamedTuple):
@@ -99,10 +99,7 @@ def kubota_local(l: int, n: int) -> LocalPart:
     1 + sum over 0 < k <= l with n | k of (p^k - p^(k-1)) x^k, plus the
     top term g_{(l+1) mod n} p^l x^(l+1).
     """
-    if l < 0:
-        raise ValueError(f"twist must be >= 0, got {l}")
-    if n < 1:
-        raise ValueError(f"cover degree n must be >= 1, got {n}")
+    l, n = _at_least(l, 0, "twist"), _degree(n)
     coeffs = {(0,): RingElem.one(n)}
     for k in range(1, l + 1):
         if k % n == 0:
@@ -149,16 +146,16 @@ def tokuyama_product(rs: RootSystemD) -> LocalPart:
     return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)
 
 
-def _check_max_rank(max_rank: int) -> None:
-    # A grid without rank 2 has no cases, and an empty report would pass.
-    if max_rank < 2:
-        raise ValueError(f"max rank must be >= 2, got {max_rank}")
+def _at_least(value, low: int, name: str) -> int:
+    """``value`` as an int >= ``low``; anything else raises ValueError.
 
-
-def _check_max_twist(max_twist: int) -> None:
-    # A negative bound empties the twist grid, and an empty grid would pass.
-    if max_twist < 0:
-        raise ValueError(f"max twist must be >= 0, got {max_twist}")
+    A grid bound below its least value would empty the grid (no rank 2, no
+    twist, no cover degree), and an empty report would pass.
+    """
+    as_int = _int(value)
+    if as_int is None or as_int < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return as_int
 
 
 def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport:
@@ -167,8 +164,7 @@ def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport
     From ``max_rank`` 4 up, untwisted D5 is checked too: at 4 it is added
     past the grid, above 4 the grid holds it.
     """
-    _check_max_rank(max_rank)
-    _check_max_twist(max_twist)
+    max_rank, max_twist = _at_least(max_rank, 2, "max rank"), _at_least(max_twist, 0, "max twist")
     report = VerificationReport("dimension")
     grid = [
         (r, twist)
@@ -188,7 +184,7 @@ def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport
 
 def check_tokuyama(max_rank: int = 4) -> VerificationReport:
     """Untwisted n = 1 local part == deformed product over positive roots."""
-    _check_max_rank(max_rank)
+    max_rank = _at_least(max_rank, 2, "max rank")
     report = VerificationReport("tokuyama")
     for r in range(2, max_rank + 1):
         rs = build_root_system(r)
@@ -221,9 +217,7 @@ def check_rank2(max_twist: int = 3, max_n: int = 4) -> VerificationReport:
     """D_2 local parts factor into Kubota polynomials, twists crossed; the
     rank-one closed form is checked on twists up to max(10, max_twist) and
     n up to max(6, max_n), so the flags only widen that grid."""
-    _check_max_twist(max_twist)
-    if max_n < 1:
-        raise ValueError(f"max n must be >= 1, got {max_n}")
+    max_twist, max_n = _at_least(max_twist, 0, "max twist"), _at_least(max_n, 1, "max n")
     report = VerificationReport("rank2")
     rs = build_root_system(2)
     for l1, l2, n in product(range(max_twist + 1), range(max_twist + 1), range(1, max_n + 1)):

@@ -36,20 +36,22 @@ dimension for every tested highest weight.
 
 The bounds are computed per row in one place: ``_row_bases`` maps the
 state above row i, (S(i-1..r-2, i-1), T1(i-1), T2(i-1)), to the row's
-bounds without their in-row terms.  ``_fill_row`` adds those terms as it
-places the entries, and ``critical_positions`` as it replays a pattern.
-A fill is just (row, crit), and ``_below`` alone steps a state past a row:
-for the walk, for ``critical_positions`` and for ``weight_vector``.
+bounds without their in-row terms.  ``_fill_row`` turns them into boxes
+of steps, and ``critical_positions`` adds the in-row terms as it replays
+a pattern.  A fill is just (row, crit), and ``_below`` alone steps a state
+past a row: for the walk, for ``critical_positions`` and for
+``weight_vector``.
 
-Enumeration fills rows top to bottom.  Within a row the only order in
-which every bound is available as soon as its entry is placed is right to
-left: the right half first (bar indices j = i..r-2, i.e. boxes from the
-right end inward), then the middle pair, then the left half from column
-r-2 back to column i.  Filled this way each entry has a known lower bound
-from the row chain and its exact upper bound, so the search never
-backtracks over infeasible prefixes.  Row candidates are sorted before
-recursing, which restores the canonical row-major lexicographic order of
-the emitted patterns.
+Enumeration fills rows top to bottom.  Within a row each entry steps up
+from its neighbour on the row chain, and the bounds put each step in a box
+[0, width] whose width depends only on the row's bar and middle steps: the
+bar steps bar(i, j) - bar(i, j-1) for j = i..r-2 (boxes from the right end
+inward), the middle pair's excesses over bar(i, r-2), then the left steps
+from column r-2 back to column i.  A row's fills are the points of these
+nested boxes, so the search never backtracks over infeasible prefixes, and
+an entry is critical when its step fills its box.  Row candidates are
+sorted before recursing, which restores the canonical row-major
+lexicographic order of the emitted patterns.
 
 Sums over patterns never list them: ``_state_walk`` pushes values down
 the states between rows one row at a time, filling a row once per group
@@ -63,7 +65,8 @@ bounds.  Targeted fills come from buckets that queries share.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, le
+from itertools import accumulate, compress, product
+from operator import add, eq, le
 from typing import Iterator
 
 from .root_data import HighestWeight, RootSystemD, _Frozen, _int
@@ -267,97 +270,66 @@ def _row_bucket(r, i, bases, top_base, bot_base, first):
     adds = _below((0,) * (r - i), 0, 0, fills)
     return tuple((ds[1:] + (d1, d2), fill) for (ds, d1, d2), fill in zip(adds, fills))
 
+
 def _fill_row(r, i, bases, top_base, bot_base, first=None):
     """(row, crit) for the fills of row i: all, or those adding ``first``.
 
-    Entries go right to left as the module docstring describes, into
-    ``vals`` (vals[k] = a_{i,i+k}, bar(i,i+k) at vals[-1-k]); ``crit`` lists
-    the critical positions in placement order.  A bound is met only by the
-    largest value of its range, so each loop runs the uncritical values,
-    then that one.  ``first`` fixes a_{i,i}, or the last row's middle pair.
+    With mid = r-1-i and bar(i, i-1) = 0, the fills are the points of nested
+    boxes of steps, in lexicographic order of the steps: the bar steps ds[k]
+    = bar(i, i+k) - bar(i, i+k-1) in [0, bases[k]], the excesses x, y of
+    a_{i,r-1}, a_{i,r} over bar(i, r-2) in [0, top_base] x [0, bot_base],
+    then the left steps a_{i,i+k} - a_{i,i+k+1} for k = mid-1 down to 0 (at
+    k = mid-1, a_{i,r-2} - bar(i, r-2) - max(x, y)) in [0, bases[k] + ds[k+1]
+    - ds[k]] with ds[mid] = min(x, y).  An entry is critical when its step
+    fills its box; ``crit`` lists those positions in step order.  ``first``
+    fixes a_{i,i} = first - ds[0], or at the last row the middle pair (x, y).
     """
     mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
-    out = []
-    if mid == 0:  # the last row holds only the middle pair
-        if first is None:
-            tops, bots = range(top_base + 1), range(bot_base + 1)
-        else:
-            top, bot = first
-            tops = (top,) if 0 <= top <= top_base else ()
-            bots = (bot,) if 0 <= bot <= bot_base else ()
-        for top in tops:
-            top_crit = ((i, r - 1),) if top == top_base else ()
-            for bot in bots:
-                crit = top_crit + ((i, r),) if bot == bot_base else top_crit
-                out.append(((top, bot), crit))
+    tops, bots = range(top_base + 1), range(bot_base + 1)
+    if not mid:  # the last row holds only the middle pair, which ``first`` fixes
+        if first is not None:
+            x, y = first
+            tops, bots = (x,) if x in tops else (), (y,) if y in bots else ()
+        out = []
+        for x in tops:
+            top_crit = ((i, r - 1),) if x == top_base else ()
+            for y in bots:
+                out.append(((x, y), top_crit + ((i, r),) if y == bot_base else top_crit))
         return out
+    vals = [0] * (2 * mid + 2)  # vals[k] = a_{i,i+k}, bar(i,i+k) at vals[-1-k]
+    out = []
 
-    size = 2 * mid + 2
-    vals = [0] * size
-    crit = []
-
-    def fill_bars(k, prev):
-        if k == mid:
-            fill_mid(prev)
-            return
-        bound = bases[k] + prev
-        x = size - 1 - k
-        for v in range(prev, bound):
-            vals[x] = v
-            fill_bars(k + 1, v)
-        if bound >= prev:
-            vals[x] = bound
-            crit.append((i, i + x))
-            fill_bars(k + 1, bound)
-            crit.pop()
-
-    def fill_mid(low):
-        top_bound = top_base + low
-        bot_bound = bot_base + low
-        for top in range(low, top_bound + 1):
-            vals[mid] = top
-            if top == top_bound:
-                crit.append((i, r - 1))
-            for bot in range(low, bot_bound + 1):
-                vals[mid + 1] = bot
-                floor = top if top > bot else bot
-                if bot == bot_bound:
-                    crit.append((i, r))
-                    fill_left(mid - 1, floor, top + bot)
-                    crit.pop()
-                else:
-                    fill_left(mid - 1, floor, top + bot)
-            if top == top_bound:
-                crit.pop()
-
-    def fill_left(k, low, inner):
-        # inner: a_{i,j+1} + bar(i, j+1) for j = i+k, or the middle pair's sum
-        b = vals[size - 1 - k]
+    def fill_left(k, low, high, crit):
+        # a_{i,i+k} runs from low, the entry after it on the row chain, to high
         if k:
-            bound = bases[k] + inner - 2 * b + vals[size - k]
-            for v in range(low, bound):
+            w = bases[k - 1] + ds[k] - ds[k - 1]
+            for v in range(low, high + 1):
                 vals[k] = v
-                fill_left(k - 1, v, v + b)
-            if bound >= low:
-                vals[k] = bound
-                crit.append((i, i + k))
-                fill_left(k - 1, bound, bound + b)
-                crit.pop()
+                fill_left(k - 1, v, v + w, crit + ((i, i + k),) if v == high else crit)
             return
-        bound = bases[0] + inner - 2 * b
         if first is None:
-            values = range(low, bound + 1)
-        else:
-            v = first - b
-            if not low <= v <= bound:
-                return
-            values = (v,)
-        row_crit = tuple(crit)
-        for v in values:
-            vals[0] = v
-            out.append((tuple(vals), row_crit + ((i, i),) if v == bound else row_crit))
+            for v in range(low, high + 1):
+                vals[0] = v
+                out.append((tuple(vals), crit + ((i, i),) if v == high else crit))
+        elif low <= fixed <= high:
+            vals[0] = fixed
+            out.append((tuple(vals), crit + ((i, i),) if fixed == high else crit))
 
-    fill_bars(0, 0)
+    spots = [(i, 2 * r - 1 - i - k) for k in range(mid)]  # where bar(i, i+k) sits
+    for ds in product(*[range(b + 1) for b in bases]):
+        vals[: mid + 1 : -1] = accumulate(ds)  # bar(i, i..r-2)
+        low = vals[mid + 2]
+        bar_crit = tuple(compress(spots, map(eq, ds, bases)))
+        left_top = low + bases[-1] - ds[-1]  # a_{i,r-2} <= left_top + x + y
+        if first is not None:
+            fixed = first - ds[0]  # a_{i,i}
+        for x in tops:
+            vals[mid] = low + x
+            top_crit = bar_crit + ((i, r - 1),) if x == top_base else bar_crit
+            for y in bots:
+                vals[mid + 1] = low + y
+                crit = top_crit + ((i, r),) if y == bot_base else top_crit
+                fill_left(mid - 1, low + (x if x > y else y), left_top + x + y, crit)
     return out
 
 

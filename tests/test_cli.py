@@ -390,6 +390,16 @@ def test_missing_subcommand_is_usage_error(capsys):
             ["explain", "--pattern", "1,0", "--twist", "1,1", "--n", "99999999999999999999"],
             id="explain-huge-n",
         ),
+        # (0,) * (n - 1) raises MemoryError at once for this n, without allocating.
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "2000000000000000000", "--twist", "0,0"],
+            id="compute-n-too-large-to-allocate",
+        ),
+        pytest.param(
+            ["explain", "--pattern", "1,0,0,0;0,0", "--twist", "0,0,0", "--n",
+             "2000000000000000000"],
+            id="explain-n-too-large-to-allocate",
+        ),
         pytest.param(
             ["compute", "--rank", "2", "--n", "1", "--twist", "0,0", "--jobs", "2"],
             id="unknown-flag",

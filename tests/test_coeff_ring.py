@@ -45,6 +45,15 @@ class TestGaussSymbol:
     def test_integral_arguments_are_taken_as_ints(self):
         assert gauss_symbol(2.0, 3.0) == gauss_symbol(2, 3)
 
+    def test_exponent_vector_marks_index_mod_n(self):
+        assert gauss_symbol(2, 4).terms == {(0, 1, 0): {0: 1}}
+        assert gauss_symbol(7, 4).terms == {(0, 0, 1): {0: 1}}
+
+    def test_cover_degree_too_large_to_allocate_fails_at_once(self):
+        # As in RingElem.integer, (0,) * (n - 1) raises before allocating.
+        with pytest.raises(MemoryError):
+            gauss_symbol(1, 2 * 10**18)
+
 
 @pytest.mark.parametrize(
     "build, args",

@@ -54,6 +54,16 @@ class TestKubota:
         with pytest.raises(ValueError):
             kubota_local(0, 0)
 
+    @pytest.mark.parametrize("l, n", [(1.5, 2), (None, 2), (1, None), (1, 1.5)], ids=repr)
+    def test_non_integers_rejected_not_truncated(self, l, n):
+        with pytest.raises(ValueError):
+            kubota_local(l, n)
+
+    def test_integral_arguments_are_taken_as_ints(self):
+        part = kubota_local(2.0, 2.0)
+        assert part.coefficients == kubota_local(2, 2).coefficients
+        assert part.twist == (2,) and part.n == 2
+
 
 class TestSuites:
     def test_dimension_small_grid(self):
@@ -78,6 +88,27 @@ class TestSuites:
     def test_rank2(self):
         report = check_rank2(max_twist=2, max_n=3)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_dimension, (2.5, 0)),
+            (check_dimension, (2, 0.5)),
+            (check_tokuyama, (2.5,)),
+            (check_tokuyama, (None,)),
+            (check_rank2, (0.5, 1)),
+            (check_rank2, (0, 1.5)),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else repr(v),
+    )
+    def test_non_integral_grid_bounds_rejected(self, check, args):
+        with pytest.raises(ValueError):
+            check(*args)
+
+    def test_integral_float_grid_bounds_are_taken_as_ints(self):
+        assert check_dimension(2.0, 0.0).counts == check_dimension(2, 0).counts == (1, 1)
+        assert check_tokuyama(2.0).counts == check_tokuyama(2).counts
+        assert check_rank2(0.0, 1.0).counts == check_rank2(0, 1).counts
 
     def test_example2(self):
         report = check_example2()

@@ -680,10 +680,12 @@ class TestGroupedFillsAgainstPerStateFills:
     a target, the fills of the state's group and the states ``_below`` steps
     them to give the per-state 5-tuples, in the same order.  The targets are
     every weight of the untwisted patterns, and every tenth weight of the
-    twisted n = 2 local part's support.
+    twisted n = 2 local part's support.  Twist (3, 0, 2, 1) has the widest
+    boxes of steps: its bar and middle boxes reach width 13, against 10 for
+    (0, 1, 2, 0) and 5 untwisted.
     """
 
-    @pytest.mark.parametrize("twist", [(0, 0, 0, 0), (0, 1, 2, 0)])
+    @pytest.mark.parametrize("twist", [(0, 0, 0, 0), (0, 1, 2, 0), (3, 0, 2, 1)])
     @pytest.mark.parametrize("targeted", [False, True], ids=["full", "targets"])
     def test_grouped_fills_reproduce_per_state_fills(self, twist, targeted):
         r = 4
