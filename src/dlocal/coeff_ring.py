@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .root_data import _int
+from .root_data import _at_least, _int
 
 
 def _mul_add(out, a, b) -> None:
@@ -58,10 +58,7 @@ def _mul_add(out, a, b) -> None:
 
 def _degree(n) -> int:
     """``n`` as a cover degree, an int >= 1; anything else raises ValueError."""
-    degree = _int(n)
-    if degree is None or degree < 1:
-        raise ValueError(f"cover degree n must be an integer >= 1, got {n!r}")
-    return degree
+    return _at_least(n, 1, "cover degree n")
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +165,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RingElem":
-        if k < 0:
-            raise ValueError("only nonnegative powers are defined")
+        k = _at_least(k, 0, "exponent")
         result = RingElem.one(self.n)
         for _ in range(k):
             result = result * self
@@ -190,18 +186,15 @@ class RingElem:
         """Substitute rational values for p and every g_k."""
         from fractions import Fraction
 
-        p_value = Fraction(p_value)
-        if p_value == 0:
-            raise ValueError("p must be nonzero")
+        values = self.eval_p(p_value)
         g_values = tuple(Fraction(v) for v in g_values)
         if len(g_values) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} g-values, got {len(g_values)}")
         total = Fraction(0)
-        for gmono, poly in self.terms.items():
-            factor = Fraction(1)
+        for gmono, value in values.items():
             for gv, e in zip(g_values, gmono):
-                factor *= gv**e
-            total += factor * sum(c * p_value**e for e, c in poly.items())
+                value *= gv**e
+            total += value
         return total
 
     def eval_p(self, p_value) -> dict[tuple[int, ...], Fraction]:
@@ -221,16 +214,13 @@ class RingElem:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"g": list(g), "p": [[c, e] for e, c in sorted(poly.items())]}
-                for g, poly in sorted(self.terms.items())
-            ],
-        }
+        """``to_json_str`` parsed: {"n", "terms": [{"g", "p": [[c, e], ...]}, ...]}."""
+        import json
+
+        return json.loads(self.to_json_str())
 
     def to_json_str(self) -> str:
-        """``to_json_obj`` as compact JSON text, written without building it."""
+        """Compact JSON text, terms sorted by g-monomial then p-exponent."""
         terms = ",".join(
             f'{{"g":[{",".join(map(str, g))}],"p":['
             + ",".join(f"[{c},{e}]" for e, c in sorted(poly.items()))
@@ -298,10 +288,8 @@ def _gmono_str(gmono: tuple[int, ...]) -> str:
 
 def gauss_symbol(k: int, n: int) -> RingElem:
     """The symbol g_{k mod n}, with g_0 eliminated as the constant -1."""
-    n, index = _degree(n), _int(k)
-    if index is None or index < 0:
-        raise ValueError(f"Gauss symbol index must be an integer >= 0, got {k!r}")
-    k = index % n
+    n = _degree(n)
+    k = _at_least(k, 0, "Gauss symbol index") % n
     if k == 0:
         return RingElem.integer(-1, n)
     gmono = (0,) * (k - 1) + (1,) + (0,) * (n - 1 - k)

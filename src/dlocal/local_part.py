@@ -61,7 +61,7 @@ from .pattern import (
     _state_walk,
     critical_positions,
 )
-from .root_data import HighestWeight, RootSystemD, _Record, _int
+from .root_data import HighestWeight, RootSystemD, _at_least, _Record, _int
 
 
 class LocalPart(_Record):
@@ -77,9 +77,12 @@ class LocalPart(_Record):
 
     def coefficient_at(self, lam) -> RingElem:
         lam = tuple(lam)
-        if len(lam) != self.rank:
-            raise ValueError(f"weight must have {self.rank} entries, got {len(lam)}")
-        return self.coefficients.get(lam, RingElem.zero(self.n))
+        key = tuple(map(_int, lam))
+        if len(key) != self.rank:
+            raise ValueError(f"weight must have {self.rank} entries, got {len(key)}")
+        if None in key:
+            raise ValueError(f"weight entries must be integers, got {lam}")
+        return self.coefficients.get(key, RingElem.zero(self.n))
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coefficients)
@@ -117,9 +120,7 @@ def _p_pow(e: int, n: int) -> RingElem:
 @lru_cache(maxsize=None)
 def sigma_entry(value: int, circled: bool, n: int) -> RingElem:
     """Standard contribution of a single entry."""
-    n, y = _degree(n), _int(value)
-    if y is None or y < 0:
-        raise ValueError(f"entry value must be an integer >= 0, got {value!r}")
+    n, y = _degree(n), _at_least(value, 0, "entry value")
     if y == 0:
         if circled:
             raise ValueError("circled zero reached sigma; strictness must filter it")
@@ -267,12 +268,11 @@ def local_part(
     ``weight`` restricts the computation to a single coefficient; the
     state sums are ``_state_walk`` with ``_extend`` as its push, and the
     weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
-    nothing; it is kept, and still rejected when negative, only because
+    nothing; it is kept, and checked as an integer >= 0, only because
     ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
     n = _degree(n)
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    _at_least(jobs, 0, "jobs")
     lam = _check_args(rs, hw, weight)
     r = rs.rank
     unit = _one(n).terms

@@ -28,7 +28,14 @@ from .coeff_ring import RingElem, _degree, gauss_symbol
 from .decoration import _strictness_failure, strictness_counts
 from .local_part import LocalPart, local_part, pattern_contribution, sigma_entry
 from .pattern import count_patterns, enumerate_decorated, weight_vector
-from .root_data import HighestWeight, RootSystemD, _int, _Record, build_root_system, weyl_dimension
+from .root_data import (
+    HighestWeight,
+    RootSystemD,
+    _at_least,
+    _Record,
+    build_root_system,
+    weyl_dimension,
+)
 
 
 class Case(NamedTuple):
@@ -114,6 +121,7 @@ def kubota_brute(l: int, n: int) -> LocalPart:
     A single entry a ranges over 0..l+1, is circled exactly at its bound
     l+1, and contributes p^a sigma(a).
     """
+    l, n = _at_least(l, 0, "twist"), _degree(n)
     coeffs = {}
     for a in range(l + 2):
         value = RingElem.p_power(a, n) * sigma_entry(a, a == l + 1, n)
@@ -144,18 +152,6 @@ def tokuyama_product(rs: RootSystemD) -> LocalPart:
                 updated[shifted] = add
         coeffs = updated
     return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)
-
-
-def _at_least(value, low: int, name: str) -> int:
-    """``value`` as an int >= ``low``; anything else raises ValueError.
-
-    A grid bound below its least value would empty the grid (no rank 2, no
-    twist, no cover degree), and an empty report would pass.
-    """
-    as_int = _int(value)
-    if as_int is None or as_int < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return as_int
 
 
 def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport:

@@ -69,7 +69,7 @@ from itertools import accumulate, compress, product
 from operator import add, eq, le
 from typing import Iterator
 
-from .root_data import HighestWeight, RootSystemD, _Frozen, _int
+from .root_data import HighestWeight, RootSystemD, _at_least, _Frozen, _int
 
 Position = tuple[int, int]
 
@@ -80,9 +80,7 @@ class LittelmannPattern(_Frozen):
     __slots__ = ("rank", "rows")
 
     def __init__(self, rank: int, rows):
-        r = _int(rank)
-        if r is None or r < 2:
-            raise ValueError(f"rank must be an integer >= 2, got {rank!r}")
+        r = _at_least(rank, 2, "rank")
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != r - 1:
             raise ValueError(f"expected {r - 1} rows, got {len(rows)}")
@@ -174,7 +172,7 @@ def _row_bases(r, m, i, S, t1, t2, lam=None):
 @lru_cache(maxsize=None)
 def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
     """Consecutive comparable column pairs of row i, earlier column first."""
-    r = rank
+    r, i = _at_least(rank, 2, "rank"), _at_least(i, 1, "row index")
     pairs = [(j, j + 1) for j in range(i, r - 2)]
     if i <= r - 2:
         pairs += [(r - 2, r - 1), (r - 2, r), (r - 1, r + 1), (r, r + 1)]

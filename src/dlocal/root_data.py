@@ -33,6 +33,18 @@ def _int(value):
     return as_int if as_int == value else None
 
 
+def _at_least(value, low: int, name: str) -> int:
+    """``value`` as an int >= ``low``; anything else raises ValueError.
+
+    The one check of a scalar integer argument: a rank, a cover degree, a
+    twist, an index, a grid bound or a job count.
+    """
+    as_int = _int(value)
+    if as_int is None or as_int < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return as_int
+
+
 class RootSystemD(NamedTuple):
     """Positive roots of D_r, each a coefficient vector over the simple roots.
 
@@ -138,8 +150,7 @@ def build_root_system(r: int) -> RootSystemD:
     Starting from the simple roots, apply all simple reflections until the
     orbit is closed, then keep the vectors with nonnegative coefficients.
     """
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
+    r = _at_least(r, 2, "rank")
     edges = _adjacency(r)
     cartan = tuple(
         tuple(
@@ -179,8 +190,7 @@ def bourbaki_permutation(r: int) -> tuple[int, ...]:
     to r-1, node 2 to r, and node j >= 3 to r+1-j.  For r = 2 both
     labelings are the two-node pair, returned unchanged.
     """
-    if r < 2:
-        raise ValueError(f"rank must be >= 2, got {r}")
+    r = _at_least(r, 2, "rank")
     if r == 2:
         return (1, 2)
     return (r - 1, r) + tuple(r + 1 - j for j in range(3, r + 1))
