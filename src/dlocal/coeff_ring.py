@@ -122,8 +122,11 @@ class RingElem:
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "RingElem":
-        if isinstance(other, int):
-            return RingElem.integer(other, self.n)
+        if isinstance(other, (int, float)):
+            value = _int(other)
+            if value is None:
+                raise ValueError(f"a ring scalar must be an integer, got {other!r}")
+            return RingElem.integer(value, self.n)
         if isinstance(other, RingElem):
             if other.n != self.n:
                 raise ValueError(f"modulus mismatch: {self.n} vs {other.n}")

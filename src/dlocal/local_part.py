@@ -33,9 +33,11 @@ once per distinct row.
 A row's fills and its term depend only on the row and the state above
 it, so the assembly never visits a single pattern: ``_extend`` is the push
 of ``pattern._state_walk``.  A target weight only narrows the fills, so a
-single coefficient and the full local part run the same code.  The row
-terms, sigma values and small p-powers are cached and shared; nothing
-mutates a RingElem or a term dict once formed, so sharing is safe.
+single coefficient and the full local part run the same code; a query's
+fills come from ``_strict_bucket``, which keeps a shared bucket's strict
+fills with their factors.  The row terms, buckets, sigma values and small
+p-powers are cached and shared; nothing mutates a RingElem or a term dict
+once formed, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .pattern import (
     Position,
     _below,
     _check_args,
+    _row_bucket,
     _state_walk,
     critical_positions,
 )
@@ -217,25 +220,48 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     return value
 
 
-def _extend(r, n, i, fills, moves, below):
-    """Push each state's sums along the strict fills of row i.
+def _factor_terms(r, n, i, row, crit):
+    """The terms of row i's factor, empty or None when the fill adds nothing."""
+    factor = row_term(r, i, row, crit, n)
+    return None if factor is None else factor.terms
 
-    Nonstrict and zero-factor fills are skipped.  With no fill left the
+
+@lru_cache(maxsize=None)
+def _strict_bucket(n, r, i, bases, top_base, bot_base, first):
+    """``pattern._row_bucket`` kept to its strict, nonzero fills, with factors.
+
+    The entries are (adds, (row, factor terms)): a query's ``_row_fills``
+    filters them by its caps and ``_extend`` reads the factors, so
+    ``row_term`` runs once per entry, when the bucket is built, not once
+    per fill of each query.  Only this bucket is kept: the whole one is
+    built uncached, so the fills no query can use are dropped once read.
+    """
+    return tuple(
+        (adds, (row, terms))
+        for adds, (row, crit) in _row_bucket.__wrapped__(r, i, bases, top_base, bot_base, first)
+        if (terms := _factor_terms(r, n, i, row, crit))
+    )
+
+
+def _extend_fills(r, n, i, fills, moves, below):
+    """``_extend`` along the strict, nonzero (row, crit) fills of row i."""
+    kept = [(row, terms) for row, crit in fills if (terms := _factor_terms(r, n, i, row, crit))]
+    _extend(i, kept, moves, below)
+
+
+def _extend(i, kept, moves, below):
+    """Push each state's sums along ``kept``, (row, factor terms) of row i.
+
+    Nonstrict and zero-factor fills are never kept.  With none kept the
     group's sums are never formed (half the states of a single-coefficient
     query end so); else each state's sums, S[0] appended to each key, go
     with each fill's factor to the state the fill leads to.
     """
-    kept, factors = [], []
-    for fill in fills:
-        factor = row_term(r, i, *fill, n)
-        if factor is not None and factor.terms:
-            kept.append(fill)
-            factors.append(factor.terms)
     if not kept:
         return
     for (S, t1, t2), pushed in moves:
         items = [(key + (S[0],), terms) for key, terms in _sums(pushed).items() if terms]
-        for state, factor in zip(_below(S, t1, t2, kept), factors):
+        for state, (_, factor) in zip(_below(S, t1, t2, kept), kept):
             below.setdefault(state, []).append((items, factor))
 
 
@@ -266,8 +292,9 @@ def local_part(
     """Assemble the local part: the sum over strict patterns, state by state.
 
     ``weight`` restricts the computation to a single coefficient; the
-    state sums are ``_state_walk`` with ``_extend`` as its push, and the
-    weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
+    state sums are ``_state_walk`` with ``_extend`` as its push (through
+    ``_extend_fills`` without a target, through ``_strict_bucket`` with
+    one), and the weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
     nothing; it is kept, and checked as an integer >= 0, only because
     ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
@@ -276,7 +303,8 @@ def local_part(
     lam = _check_args(rs, hw, weight)
     r = rs.rank
     unit = _one(n).terms
-    pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], partial(_extend, r, n))
+    push = partial(_extend_fills, r, n) if lam is None else _extend
+    pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], push, partial(_strict_bucket, n))
     coeffs = {}
     for (_, t1, t2), value in pushed.items():
         for key, terms in _sums(value).items():

@@ -59,7 +59,9 @@ of states with equal bounds, and ``count_patterns``, ``local_part`` and
 ``decoration.strictness_counts`` each supply its push.  The two counting
 pushes also push once per group: the group's total goes along the fills
 of one of its states, since what lies below a state depends only on its
-bounds.  Targeted fills come from buckets that queries share.
+bounds.  Targeted fills come from buckets that queries share, and a
+targeted walk drops the states that ``_sum_limits`` shows cannot reach
+the target.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ def _row_bases(r, m, i, S, t1, t2, lam=None):
 def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
     """Consecutive comparable column pairs of row i, earlier column first."""
     r, i = _at_least(rank, 2, "rank"), _at_least(i, 1, "row index")
+    if i > r - 1:
+        raise ValueError(f"row index must be at most {r - 1}, got {i}")
     pairs = [(j, j + 1) for j in range(i, r - 2)]
     if i <= r - 2:
         pairs += [(r - 2, r - 1), (r - 2, r), (r - 1, r + 1), (r, r + 1)]
@@ -237,20 +241,22 @@ def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
 # -- enumeration --------------------------------------------------------------
 
 
-def _row_fills(r, i, bases, top_base, bot_base, caps=None):
+def _row_fills(r, i, bases, top_base, bot_base, caps=None, bucket=None):
     """A fresh list of (row, crit) for every valid fill of row i.
 
     The arguments after (r, i) are ``_row_bases`` of a state above row i.
     Under caps a fill adds exactly cap[0] to column i (at the last row the
     middle caps) and at most the other caps: a ``_row_bucket``, filtered.
+    A caller may pass its own ``bucket``, called as ``_row_bucket`` is, whose
+    (adds, item) entries are filtered alike and give their items instead.
     """
     if caps is None:
         return _fill_row(r, i, bases, top_base, bot_base)
     cap, top_cap, bot_cap = caps
     first = cap[0] if cap else (top_cap, bot_cap)
     limits = cap[1:] + (top_cap, bot_cap)
-    bucket = _row_bucket(r, i, bases, top_base, bot_base, first)
-    return [fill for adds, fill in bucket if all(map(le, adds, limits))]
+    entries = (bucket or _row_bucket)(r, i, bases, top_base, bot_base, first)
+    return [fill for adds, fill in entries if all(map(le, adds, limits))]
 
 
 @lru_cache(maxsize=None)
@@ -260,9 +266,10 @@ def _row_bucket(r, i, bases, top_base, bot_base, first):
     ``first`` is (d1, d2) at the last row; adds = (ds[1..mid-1], d1, d2),
     read off by ``_below``, is what the fill adds under the other caps.
     The cache is unbounded, like ``row_term``'s: queries on one highest
-    weight meet the same buckets again (a coeff-queries round makes 4,721
-    targeted row fills from 1,040 buckets), and a bucket holds, and a cold
+    weight meet the same buckets again (a coeff-queries round makes 3,662
+    targeted row fills from 741 buckets), and a bucket holds, and a cold
     query enumerates, every fill of its slice, not just those under caps.
+    ``local_part`` caches only its strict part (``_strict_bucket``).
     """
     fills = _fill_row(r, i, bases, top_base, bot_base, first)
     adds = _below((0,) * (r - i), 0, 0, fills)
@@ -345,16 +352,55 @@ def _below(S, t1, t2, fills):
     ]
 
 
-def _state_walk(r, m, lam, start, push):
+def _sum_limits(r, m, lam):
+    """Upper limits on the column sums of the states that can complete to ``lam``.
+
+    Returns (limits, t1_max, t2_max).  A state (S, t1, t2) above row i with
+    an S[k] > limits[i-1][k], t1 > t1_max or t2 > t2_max has no completion
+    of weight lam.  Let col(c) = lam[r-c] be the final S(c, c) for 1 <= c <=
+    r-2, with col(0) = 0 and col(r-1) = lam[0] + lam[1] (the final T1 + T2).
+
+    * For k < c, S(c, k) <= L_c = min(col(c), (m[r-c] + col(c-1) +
+      col(c+1)) // 2, 2 (m[r-c] + ... + m[2]) + m[0] + m[1] + 2 col(c-1) -
+      col(c)).  limits[i-1] = (col(i-1), L_i, ..., L_{r-2}): S[0] = S(i-1,
+      i-1) is final.
+    * Before the last row, T1 <= min(lam[0], (m[1] + col(r-2)) // 2, m[1] +
+      col(r-2) - lam[0]), and T2 likewise with m[0] and lam[1].
+
+    Why: a row has fills only when every box of steps is nonempty, so its
+    bases, top_base and bot_base are >= 0, and column sums only grow.  So at
+    each row i <= c, 2 S(c) <= m[r-c] + S(c-1) + S(c+1) <= m[r-c] + col(c-1)
+    + col(c+1), and 2 T1 <= m[1] + S(r-2) <= m[1] + col(r-2) (T2 likewise).
+    The last row adds exactly lam[0] - T1 to T1, at most its top_base m[1] +
+    col(r-2) - 2 T1.  Row c adds col(c) - S(c, c-1) to column c, at most 2
+    sum(bases) + top_base + bot_base of row c, and that sum telescopes to
+    2 (m[r-c] + ... + m[2]) + m[0] + m[1] + 2 col(c-1) - 2 S(c, c-1).
+    """
+    col = (0,) + lam[:1:-1] + (lam[0] + lam[1],)
+    tail, limits = m[0] + m[1], []
+    for c in range(r - 2, 0, -1):
+        tail += 2 * m[r - c]
+        limits.append(min(
+            col[c], (m[r - c] + col[c - 1] + col[c + 1]) // 2, tail + 2 * col[c - 1] - col[c]
+        ))
+    limits.reverse()  # L_1 .. L_{r-2}
+    t1_max = min(lam[0], (m[1] + col[r - 2]) // 2, m[1] + col[r - 2] - lam[0])
+    t2_max = min(lam[1], (m[0] + col[r - 2]) // 2, m[0] + col[r - 2] - lam[1])
+    return [(col[i - 1],) + tuple(limits[i - 1 :]) for i in range(1, r)], t1_max, t2_max
+
+
+def _state_walk(r, m, lam, start, push, bucket=None):
     """{state below the last row: value}, pushed down from {top state: start}.
 
     The state (S, t1, t2) above row i holds S(i-1..r-2, i-1), T1(i-1) and
     T2(i-1), all that the bounds of rows i.. read.  At row i the states are
     grouped by ``_row_bases`` under ``lam``; per group, ``_row_fills`` runs
-    once and ``push(i, fills, moves, below)`` adds the value of each (state,
-    value) move, passed along each fill (``_below``), into ``below`` {state
-    below row i: value}.  S(i-1, i-1) = S[0] leaves the state there.  Two
-    levels are held at once; a value is dropped once pushed, or with its level.
+    once (with ``bucket``) and ``push(i, fills, moves, below)`` adds the
+    value of each (state, value) move, passed along each fill (``_below``),
+    into ``below`` {state below row i: value}.  S(i-1, i-1) = S[0] leaves the
+    state there.  Two levels are held at once; a value is dropped once
+    pushed, or with its level.  Under ``lam`` a state above any of its
+    ``_sum_limits`` cannot complete, and is never grouped, filled or pushed.
 
     The bounds below a fill depend only on the bounds above it and on the
     fill, never on the state: with ds, d1, d2 what ``_below`` reads off the
@@ -370,13 +416,19 @@ def _state_walk(r, m, lam, start, push):
     queries 10-20 % slower; ``_row_bucket`` shares such groups' fills.
     """
     level = {((0,) * (r - 1), 0, 0): start}
+    if lam is not None:
+        limits, t1_max, t2_max = _sum_limits(r, m, lam)
     for i in range(1, r):
         groups: dict = {}
         for state in level:
+            if lam is not None:
+                S, t1, t2 = state
+                if t1 > t1_max or t2 > t2_max or not all(map(le, S, limits[i - 1])):
+                    continue
             groups.setdefault(_row_bases(r, m, i, *state, lam), []).append(state)
         below: dict = {}
         for bounds, states in groups.items():
-            push(i, _row_fills(r, i, *bounds), ((s, level.pop(s)) for s in states), below)
+            push(i, _row_fills(r, i, *bounds, bucket), ((s, level.pop(s)) for s in states), below)
         level = below
     return level
 

@@ -97,6 +97,29 @@ class TestArithmetic:
         assert 2 * one() - 1 == one()
         assert (1 - p(-1)) == one() - p(-1)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: one() + x,
+            lambda x: x + one(),
+            lambda x: one() - x,
+            lambda x: x - one(),
+            lambda x: one() * x,
+            lambda x: x * one(),
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_scalar_operands(self, op):
+        # An integral float is its int; a non-integral one raises ValueError,
+        # and any other type is left to Python, which raises TypeError.
+        assert op(2.0) == op(2) and op(-1.0) == op(-1) and op(True) == op(1)
+        for bad in (2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="ring scalar"):
+                op(bad)
+        for other in ("2", None, 1j):
+            with pytest.raises(TypeError):
+                op(other)
+
 
 class TestEvaluate:
     def test_plain_laurent(self):

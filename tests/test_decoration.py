@@ -61,6 +61,12 @@ class TestChainPairs:
         assert row_chain_pairs(4, 3) == ()
         assert row_chain_pairs(2, 1) == ()
 
+    @pytest.mark.parametrize("i", [3, 7])
+    def test_rows_past_the_last_rejected(self, i):
+        assert row_chain_pairs(3, 2) == ()
+        with pytest.raises(ValueError, match="at most 2"):
+            row_chain_pairs(3, i)
+
 
 class TestComponents:
     def test_constant_top_row_rank6_is_length5_leaner(self):

@@ -1,8 +1,9 @@
 """Pattern shapes, bounds, criticality, weights, and enumeration."""
 
+import random
 import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from operator import sub
 
@@ -20,6 +21,8 @@ from dlocal import (
     weyl_dimension,
 )
 from dlocal import pattern as pattern_module
+from dlocal.decoration import _circled_probes, _row_shape, strictness_counts
+from dlocal.local_part import _strict_bucket
 from dlocal.pattern import (
     _below,
     _complete,
@@ -860,6 +863,7 @@ class TestTargetedFillsShareBuckets:
         monkeypatch.setattr(pattern_module, "_fill_row", counted)
         rs, hw, lam = build_root_system(5), HighestWeight((1,) * 5), (3, 3, 5, 6, 4)
         _row_bucket.cache_clear()
+        _strict_bucket.cache_clear()
         first = local_part(rs, hw, 1, weight=lam).coefficients
         assert calls
         calls.clear()
@@ -886,3 +890,98 @@ class TestTargetedFillsShareBuckets:
             assert all(type(x) is tuple for x in (entry, adds, entry[1], row, crit))
             ds, d1, d2 = row_sums(row)
             assert ds[0] == cap[0] and adds == ds[1:] + (d1, d2)
+
+
+def per_weight_strictness_counts(r, m):
+    """{weight: (total, nonstrict)} from one untargeted walk.
+
+    Each state carries {finished column sums: (total, strict)}, pushed along
+    every fill of every state; with no target the walk has no
+    ``_sum_limits`` to drop states by.
+    """
+
+    def push(i, fills, moves, below):
+        passes = [not _circled_probes(_row_shape(r, i, row)[1], i, row, crit) for row, crit in fills]
+        for (S, t1, t2), counts in moves:
+            done = [(key + (S[0],), value) for key, value in counts.items()]
+            for passed, state in zip(passes, _below(S, t1, t2, fills)):
+                out = below.setdefault(state, {})
+                for key, (total, strict) in done:
+                    t, s = out.get(key, (0, 0))
+                    out[key] = t + total, s + strict if passed else s
+
+    by_weight = {}
+    for (_, t1, t2), counts in _state_walk(r, m, None, {(): (1, 1)}, push).items():
+        for key, (total, strict) in counts.items():
+            lam = (t1, t2) + key[:0:-1]
+            t, s = by_weight.get(lam, (0, 0))
+            by_weight[lam] = t + total, s + strict
+    return {lam: (t, t - s) for lam, (t, s) in by_weight.items()}
+
+
+def strictness_count_mismatches(twist):
+    """Weights where the targeted ``strictness_counts`` differ from the untargeted walk's."""
+    rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
+    expected = per_weight_strictness_counts(rs.rank, hw.m)
+    outside = tuple(v + 1 for v in max(expected))
+    expected[outside] = (0, 0)
+    return (lam for lam, counts in expected.items() if strictness_counts(rs, hw, lam) != counts)
+
+
+@lru_cache(maxsize=None)
+def untwisted_d5_part(n):
+    return local_part(build_root_system(5), HighestWeight((1,) * 5), n).coefficients
+
+
+def query_mismatches(n, count=300, seed=20):
+    """Of ``count`` seeded support weights of untwisted D5 and one weight
+    outside the support, those whose single-coefficient query differs from
+    the full part."""
+    rs, hw, full = build_root_system(5), HighestWeight((1,) * 5), untwisted_d5_part(n)
+    lams = random.Random(seed).sample(sorted(full), count) + [tuple(v + 1 for v in max(full))]
+    return (
+        lam
+        for lam in lams
+        if local_part(rs, hw, n, weight=lam).coefficients != ({lam: full[lam]} if lam in full else {})
+    )
+
+
+class TestSumLimits:
+    """A targeted walk drops the states above ``_sum_limits``, and so no
+    state that can complete: per-weight counts and single coefficients
+    still match walks and parts computed with no target, and lowering any
+    one limit by 1 is seen by both checks.
+    """
+
+    @pytest.mark.parametrize(
+        "twist",
+        list(product(range(3), repeat=3)) + list(product(range(2), repeat=4)) + [(0, 1, 2, 0)],
+    )
+    def test_targeted_counts_match_untargeted_walk(self, twist):
+        assert next(strictness_count_mismatches(twist), None) is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_queries_match_full_part(self, n):
+        assert next(query_mismatches(n), None) is None
+
+    @pytest.mark.parametrize("which", ["t1", "t2", 1, 2, 3])
+    def test_lowered_limit_is_seen(self, which, monkeypatch):
+        limits_of = pattern_module._sum_limits
+
+        def lowered(r, m, lam):
+            limits, t1_max, t2_max = limits_of(r, m, lam)
+            if which == "t1":
+                return limits, t1_max - 1, t2_max
+            if which == "t2":
+                return limits, t1_max, t2_max - 1
+            # limits[i-1][k] bounds column i-1+k; k = 0 is the finished column
+            limits = [
+                tuple(v - (k > 0 and i - 1 + k == which) for k, v in enumerate(row))
+                for i, row in enumerate(limits, start=1)
+            ]
+            return limits, t1_max, t2_max
+
+        monkeypatch.setattr(pattern_module, "_sum_limits", lowered)
+        assert next(query_mismatches(1), None) is not None
+        if which != 3:  # D4 has columns 1 and 2 only
+            assert next(strictness_count_mismatches((0, 1, 2, 0)), None) is not None
