@@ -14,14 +14,11 @@ vector is empty and elements are plain Laurent polynomials in p.
 
 Instances are immutable by convention: every operation returns a fresh
 element and nothing mutates ``terms`` after construction.  The ring
-operations share one kernel, ``_mul_add(out, a, b)``, which adds the
-product of two canonical term dicts into a private dict ``out`` in place
-and keeps ``out`` canonical as it goes: a coefficient that reaches 0 is
-deleted, and so is a polynomial left empty.  Its results are wrapped by
-the private constructor ``RingElem._wrap``, which skips the checks and the
-re-canonicalization of ``__init__``; those stay for elements built from
-outside (user code, ``from_json_obj``), which reject a value that is not
-an integer, or a negative g-exponent, rather than truncate it.
+operations share one kernel, ``_mul_add``, and wrap its canonical results
+with ``RingElem._wrap``, which skips the checks of ``__init__``; those
+stay for elements built from outside (user code, ``from_json_obj``), which
+reject a value that is not an integer, or a negative g-exponent, rather
+than truncate it.
 """
 
 from __future__ import annotations

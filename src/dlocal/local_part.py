@@ -1,12 +1,9 @@
 """Standard contributions and assembly of the local part N(x; l).
 
-Every entry y of a strict pattern gets a standard contribution depending
-on n and on whether its vertex is circled:
-
-    y > 0 uncircled: 1 - 1/p when n divides y, else 0
-    y > 0 circled:   g_k / p with k = y mod n  (g_0 = -1)
-    y = 0 uncircled: 1
-    y = 0 circled:   never reached (strictness removes these patterns)
+Every entry y > 0 of a strict pattern gets a standard contribution
+sigma(y): 1 - 1/p when its vertex is uncircled and n divides y, 0 when it
+is uncircled otherwise, and g_k / p with k = y mod n (g_0 = -1) when it is
+circled.  sigma(0) = 1; strictness removes the patterns that circle a 0.
 
 Within a component only one distinguished vertex counts.  In the paper's
 rule it is the rightmost vertex y of an ordinary component and the
@@ -14,8 +11,8 @@ endpoint of the shorter leg of an asymmetric multiple leaner; a symmetric
 multiple leaner of length l contributes sigma(y)(1 - p^-l) when its
 rightmost vertex y is uncircled and sigma(y) sigma(upsilon) p^-(l-1) when
 it is circled, upsilon being the vertex just left of y.  Zero-valued
-components contribute 1.  ``component_rule`` codes the rule only as far
-as strict patterns reach it.
+components contribute 1.  ``_reading`` codes the rule, only as far as
+strict patterns reach it (see ``component_rule``).
 
 A pattern of weight lambda contributes p^|lambda| times the product of its
 component contributions, and the coefficient a_lambda of the local part is
@@ -24,9 +21,11 @@ entries and components never cross rows, so this splits into row factors:
 p^(sum of the row) times the row's component contributions.  ``row_term``
 is the only code that forms a row factor; the assembly and
 ``pattern_contribution`` (which ``explain`` prints) both multiply its
-factors.  It looks the row's shape up once, asks
-``decoration._circled_probes`` whether the row is strict, and reads the
-value of each component of the shape from the row.  It is memoized per
+factors.  It forms one without ring products, from the row's shape and
+probes (``decoration._row_probes``): 0 when a component reads sigma(y)
+uncircled with n not dividing y, else one signed g-monomial (the circled
+vertices' g_k) times a p-power times the cached (1 - 1/p)^a prod(1 - p^-l),
+as the components' readings (``_reading``) give them.  It is memoized per
 (rank, row index, row values, circled positions, n), so the rule runs
 once per distinct row.
 
@@ -35,9 +34,9 @@ it, so the assembly never visits a single pattern: ``_extend`` is the push
 of ``pattern._state_walk``.  A target weight only narrows the fills, so a
 single coefficient and the full local part run the same code; a query's
 fills come from ``_strict_bucket``, which keeps a shared bucket's strict
-fills with their factors.  The row terms, buckets, sigma values and small
-p-powers are cached and shared; nothing mutates a RingElem or a term dict
-once formed, so sharing is safe.
+fills with their factors.  The row terms, buckets, sigma values and
+Laurent polynomials are cached and shared; nothing mutates a RingElem, a
+term dict or a polynomial once formed, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Optional
 
-from .coeff_ring import RingElem, _degree, _mul_add, gauss_symbol
+from .coeff_ring import RingElem, _degree, _mul_add, _unit_terms
 from .decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
     ORDINARY,
     Component,
-    _circled_probes,
-    _row_shape,
+    _row_probes,
     _strictness_failure,
 )
 from .pattern import (
@@ -110,73 +108,84 @@ class LocalPart(_Record):
         )
 
 
-@lru_cache(maxsize=None)
-def _one(n: int) -> RingElem:
-    return RingElem.one(n)
+def _reading(kind: str, length, value: int, circ: bool, n: int):
+    """(reading, rule tag) of a component of ``kind``, ``length`` and entries ``value``.
+
+    ``circ`` tells whether its rightmost vertex is circled.  The reading is
+    None for a contribution 0, else (k, shift, a, l) for g_k p^shift
+    (1 - 1/p)^a (1 - p^-l), with no g when k is None, no last factor when l is 0.
+    """
+    if value == 0:
+        return (None, 0, 0, 0), "zero component -> 1"
+    if kind == ORDINARY and circ:
+        return (value, -1, 0, 0), "rightmost circled -> g/p"
+    sigma = (None, 0, 1, 0) if value % n == 0 else None  # sigma(y) uncircled, or 0
+    if kind == ORDINARY:
+        tag = "n | value -> 1 - 1/p" if sigma else "n does not divide value -> 0"
+        return sigma, "rightmost uncircled, " + tag
+    if kind == ML_ASYMMETRIC:
+        return sigma, "asymmetric leaner -> sigma(y) uncircled"
+    if kind != ML_SYMMETRIC:
+        raise ValueError(f"unclassified component kind {kind!r}")
+    lean = f"symmetric leaner of length {length}, rightmost "
+    if circ:
+        tag = lean + "circled -> sigma(y) sigma(upsilon) / p^(length-1)"
+        return sigma and (value, -length, 1, 0), tag
+    return sigma and (None, 0, 1, length), lean + "uncircled -> sigma(y) (1 - 1/p^length)"
 
 
 @lru_cache(maxsize=None)
-def _p_pow(e: int, n: int) -> RingElem:
-    return RingElem.p_power(e, n)
+def _laurent(a: int, ls: tuple[int, ...]) -> dict[int, int]:
+    """(1 - 1/p)^a times the (1 - p^-l) over ``ls``: {p exponent: coefficient}, shared."""
+    poly = {0: 1}
+    for l in (1,) * a + ls:
+        out = dict(poly)
+        for e, c in poly.items():
+            out[e - l] = out.get(e - l, 0) - c
+        poly = {e: c for e, c in out.items() if c}
+    return poly
+
+
+def _combine(n: int, readings, shift: int = 0) -> RingElem:
+    """p^shift times the contributions ``readings``: a signed g-monomial times ``_laurent``."""
+    if None in readings:
+        return RingElem._wrap(n, {})
+    g, a, ls = [0] * n, 0, []  # g[0] counts the factors g_0 = -1
+    for k, s, da, l in readings:
+        if k is not None:
+            g[k % n] += 1
+        shift, a = shift + s, a + da
+        if l:
+            ls.append(l)
+    sign = -1 if g[0] % 2 else 1
+    poly = {shift + e: sign * c for e, c in _laurent(a, tuple(sorted(ls))).items()}
+    return RingElem._wrap(n, {tuple(g[1:]): poly})
 
 
 @lru_cache(maxsize=None)
 def sigma_entry(value: int, circled: bool, n: int) -> RingElem:
-    """Standard contribution of a single entry."""
+    """Standard contribution of a single entry: an ordinary component's rule."""
     n, y = _degree(n), _at_least(value, 0, "entry value")
-    if y == 0:
-        if circled:
-            raise ValueError("circled zero reached sigma; strictness must filter it")
-        return _one(n)
-    if circled:
-        return gauss_symbol(y, n) * _p_pow(-1, n)
-    if y % n == 0:
-        return _one(n) - _p_pow(-1, n)
-    return RingElem.zero(n)
+    if y == 0 and circled:
+        raise ValueError("circled zero reached sigma; strictness must filter it")
+    return _combine(n, [_reading(ORDINARY, None, y, circled, n)[0]])
 
 
 def component_rule(comp: Component, value: int, circled, n: int) -> tuple[RingElem, str]:
     """Standard contribution of a component of entries ``value``, and its rule's name.
 
-    No strict pattern circles an asymmetric leaner's shorter-leg endpoint,
-    or a symmetric leaner's upsilon beside its circled rightmost vertex, so
-    neither is read: an asymmetric leaner gives sigma(y) uncircled, and
-    upsilon counts as uncircled.  ``tests/test_unreached_rules.py`` counts
-    the strict patterns in either case and asserts 0, in tier-1 on D4
-    {0,1,2}^4 and D5 {0,1}^5, and in CI also on D5 (2,2,2,2,2), (2,0,1,2,1),
-    (0,2,2,1,0), D6 (0)^6, (1,0,1,0,1,0), (2,1,0,1,2,0), (1,1,0,0,0,0) and
-    D7 (0)^7.  No proof from the bounds is known, so beyond those grids the
-    shorter rule rests on that observation.
+    The contribution is ``_combine`` of the component's ``_reading``, the
+    reading that ``row_term`` combines over a row, so it is formed without
+    ring products.  No strict pattern circles an asymmetric leaner's
+    shorter-leg endpoint, or a symmetric leaner's upsilon beside its
+    circled rightmost vertex, so neither is read: an asymmetric leaner
+    gives sigma(y) uncircled, and upsilon counts as uncircled.
+    ``tests/test_unreached_rules.py`` finds 0 strict patterns in either
+    case on its grids (up to D7 in CI); no proof from the bounds is known.
     """
-    if value == 0:
-        return _one(n), "zero component -> 1"
-    if comp.kind == ORDINARY:
-        circ = comp.rightmost in circled
-        factor = sigma_entry(value, circ, n)
-        if circ:
-            return factor, "rightmost circled -> g/p"
-        if value % n == 0:
-            return factor, "rightmost uncircled, n | value -> 1 - 1/p"
-        return factor, "rightmost uncircled, n does not divide value -> 0"
-    if comp.kind == ML_ASYMMETRIC:
-        return sigma_entry(value, False, n), "asymmetric leaner -> sigma(y) uncircled"
-    if comp.kind == ML_SYMMETRIC:
-        if comp.rightmost in circled:
-            factor = (
-                sigma_entry(value, True, n)
-                * sigma_entry(value, False, n)
-                * _p_pow(-(comp.length - 1), n)
-            )
-            return factor, (
-                f"symmetric leaner of length {comp.length}, rightmost circled -> "
-                "sigma(y) sigma(upsilon) / p^(length-1)"
-            )
-        factor = sigma_entry(value, False, n) * (_one(n) - _p_pow(-comp.length, n))
-        return factor, (
-            f"symmetric leaner of length {comp.length}, rightmost uncircled -> "
-            "sigma(y) (1 - 1/p^length)"
-        )
-    raise ValueError(f"unclassified component kind {comp.kind!r}")
+    n = _degree(n)
+    reading, tag = _reading(comp.kind, comp.length, value, comp.rightmost in circled, n)
+    return _combine(n, [reading]), tag
 
 
 @lru_cache(maxsize=None)
@@ -187,20 +196,16 @@ def row_term(
 
     The factor is p^(sum of the row) times the product of the row's
     component contributions, or None when a circled position is a
-    strictness probe: the row makes the pattern nonstrict.
+    strictness probe: the row makes the pattern nonstrict.  It is 0 when a
+    component reads 0, and otherwise ``_combine`` of the readings.
     """
-    components, edges = _row_shape(rank, i, row)
-    if _circled_probes(edges, i, row, crit):
+    components, probes = _row_probes(rank, i, row)
+    if not probes.isdisjoint(crit):
         return None
-    unit = _one(n)
-    factor = _p_pow(sum(row), n)
-    for comp in components:
-        value = component_rule(comp, row[comp.columns[0] - i], crit, n)[0]
-        if value.is_zero:
-            return value
-        if value is not unit:
-            factor = factor * value
-    return factor
+    return _combine(n, [
+        _reading(c.kind, c.length, row[c.columns[0] - i], c.rightmost in crit, n)[0]
+        for c in components
+    ], sum(row))
 
 
 def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> RingElem:
@@ -213,17 +218,16 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     failure = _strictness_failure(T, circled)
     if failure is not None:
         raise ValueError(f"nonstrict pattern: {failure}")
-    value = _one(n)
+    value = RingElem.one(n)
     for i, row in enumerate(T.rows, start=1):
         crit = tuple(sorted(pos for pos in circled if pos[0] == i))
         value = value * row_term(T.rank, i, row, crit, n)
     return value
 
 
-def _factor_terms(r, n, i, row, crit):
-    """The terms of row i's factor, empty or None when the fill adds nothing."""
-    factor = row_term(r, i, row, crit, n)
-    return None if factor is None else factor.terms
+def _kept(r, n, i, fills):
+    """(row, factor terms) for the (row, crit) ``fills`` of row i that are strict and nonzero."""
+    return [(row, f.terms) for row, crit in fills if (f := row_term(r, i, row, crit, n)) and f.terms]
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +236,16 @@ def _strict_bucket(n, r, i, bases, top_base, bot_base, first):
 
     The entries are (adds, (row, factor terms)): a query's ``_row_fills``
     filters them by its caps and ``_extend`` reads the factors, so
-    ``row_term`` runs once per entry, when the bucket is built, not once
-    per fill of each query.  Only this bucket is kept: the whole one is
-    built uncached, so the fills no query can use are dropped once read.
+    ``row_term`` runs once per fill of the slice, when the bucket is built.
+    The other fills are dropped before their adds are read, and never kept.
     """
-    return tuple(
-        (adds, (row, terms))
-        for adds, (row, crit) in _row_bucket.__wrapped__(r, i, bases, top_base, bot_base, first)
-        if (terms := _factor_terms(r, n, i, row, crit))
-    )
+    keep = partial(_kept, r, n, i)
+    return _row_bucket.__wrapped__(r, i, bases, top_base, bot_base, first, keep)
 
 
 def _extend_fills(r, n, i, fills, moves, below):
     """``_extend`` along the strict, nonzero (row, crit) fills of row i."""
-    kept = [(row, terms) for row, crit in fills if (terms := _factor_terms(r, n, i, row, crit))]
-    _extend(i, kept, moves, below)
+    _extend(i, _kept(r, n, i, fills), moves, below)
 
 
 def _extend(i, kept, moves, below):
@@ -283,11 +282,7 @@ def _sums(pushed):
 
 
 def local_part(
-    rs: RootSystemD,
-    hw: HighestWeight,
-    n: int,
-    weight=None,
-    jobs: int = 0,
+    rs: RootSystemD, hw: HighestWeight, n: int, weight=None, jobs: int = 0
 ) -> LocalPart:
     """Assemble the local part: the sum over strict patterns, state by state.
 
@@ -302,7 +297,7 @@ def local_part(
     _at_least(jobs, 0, "jobs")
     lam = _check_args(rs, hw, weight)
     r = rs.rank
-    unit = _one(n).terms
+    unit = _unit_terms(n)
     push = partial(_extend_fills, r, n) if lam is None else _extend
     pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], push, partial(_strict_bucket, n))
     coeffs = {}

@@ -54,14 +54,13 @@ sorted before recursing, which restores the canonical row-major
 lexicographic order of the emitted patterns.
 
 Sums over patterns never list them: ``_state_walk`` pushes values down
-the states between rows one row at a time, filling a row once per group
-of states with equal bounds, and ``count_patterns``, ``local_part`` and
-``decoration.strictness_counts`` each supply its push.  The two counting
-pushes also push once per group: the group's total goes along the fills
-of one of its states, since what lies below a state depends only on its
-bounds.  Targeted fills come from buckets that queries share, and a
-targeted walk drops the states that ``_sum_limits`` shows cannot reach
-the target.
+the states between rows one row at a time, and ``count_patterns``,
+``local_part`` and ``decoration.strictness_counts`` each supply its push.
+Untargeted, it fills a row once per group of states with equal bounds,
+and a counting push carries the group's total along the fills of one
+state.  Given a target weight, it fills each state alone from buckets
+that queries share, and drops the states that ``_sum_limits`` shows
+cannot reach the target.
 """
 
 from __future__ import annotations
@@ -260,7 +259,7 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None, bucket=None):
 
 
 @lru_cache(maxsize=None)
-def _row_bucket(r, i, bases, top_base, bot_base, first):
+def _row_bucket(r, i, bases, top_base, bot_base, first, keep=None):
     """(adds, fill) for the fills of row i that add ``first`` to column i.
 
     ``first`` is (d1, d2) at the last row; adds = (ds[1..mid-1], d1, d2),
@@ -269,9 +268,11 @@ def _row_bucket(r, i, bases, top_base, bot_base, first):
     weight meet the same buckets again (a coeff-queries round makes 3,662
     targeted row fills from 741 buckets), and a bucket holds, and a cold
     query enumerates, every fill of its slice, not just those under caps.
-    ``local_part`` caches only its strict part (``_strict_bucket``).
+    ``local_part._strict_bucket`` builds one uncached with ``keep``, which
+    maps the fills to those it keeps before their adds are read.
     """
     fills = _fill_row(r, i, bases, top_base, bot_base, first)
+    fills = keep(fills) if keep else fills
     adds = _below((0,) * (r - i), 0, 0, fills)
     return tuple((ds[1:] + (d1, d2), fill) for (ds, d1, d2), fill in zip(adds, fills))
 
@@ -393,42 +394,47 @@ def _state_walk(r, m, lam, start, push, bucket=None):
     """{state below the last row: value}, pushed down from {top state: start}.
 
     The state (S, t1, t2) above row i holds S(i-1..r-2, i-1), T1(i-1) and
-    T2(i-1), all that the bounds of rows i.. read.  At row i the states are
-    grouped by ``_row_bases`` under ``lam``; per group, ``_row_fills`` runs
-    once (with ``bucket``) and ``push(i, fills, moves, below)`` adds the
-    value of each (state, value) move, passed along each fill (``_below``),
-    into ``below`` {state below row i: value}.  S(i-1, i-1) = S[0] leaves the
-    state there.  Two levels are held at once; a value is dropped once
-    pushed, or with its level.  Under ``lam`` a state above any of its
-    ``_sum_limits`` cannot complete, and is never grouped, filled or pushed.
+    T2(i-1), all that the bounds of rows i.. read.  At row i ``_row_fills``
+    runs once per group of states with equal ``_row_bases``, and ``push(i,
+    fills, moves, below)`` adds the value of each (state, value) move of the
+    group, passed along each fill (``_below``), into ``below`` {state below
+    row i: value}; S[0] = S(i-1, i-1) leaves the state there.  Two levels
+    are held at once; a value is dropped once pushed, or with its level.
 
     The bounds below a fill depend only on the bounds above it and on the
     fill, never on the state: with ds, d1, d2 what ``_below`` reads off the
     fill's row and dd = ds + (d1 + d2,), the child's bases are bases[k+1] +
     dd[k] - 2 dd[k+1] + dd[k+2], its top and bottom bases top + ds[-1] -
-    2 d1 and bot + ds[-1] - 2 d2, and its caps (cap[1:] - ds[1:], top cap -
-    d1, bottom cap - d2).  So the children of a group's states along one
-    fill share one group, and a push whose values are sums over patterns,
-    as the counts are, may carry a group's total along the fills of one
-    state (``_group_total``); the final keys are then representatives.  The
-    local part pushes per state: under a target weight each group is one
-    state, and a trial that keyed its walk by bounds made single-coefficient
-    queries 10-20 % slower; ``_row_bucket`` shares such groups' fills.
+    2 d1 and bot + ds[-1] - 2 d2.  So the children of a group's states
+    along one fill share one group, and a push whose values are sums over
+    patterns, as the counts are, may carry a group's total along the fills
+    of one state (``_group_total``); the final keys are then representatives.
+
+    Under ``lam`` a group is one state (its caps fix S(i..r-2), T1 and T2,
+    and S[0] is final), so each state is pushed alone with its own bounds
+    and ``bucket``; one above any of its ``_sum_limits`` cannot complete and
+    is dropped.  The limits see sums only: on coeff-queries round 0 (seed
+    1) 3,662 states pass them, 1,593 reach lam through strict nonzero fills
+    and 2,491 through bounded fills: 1,171 are arithmetic dead ends, and
+    898 die of strictness (one of them of a zero factor).
     """
     level = {((0,) * (r - 1), 0, 0): start}
     if lam is not None:
         limits, t1_max, t2_max = _sum_limits(r, m, lam)
     for i in range(1, r):
-        groups: dict = {}
-        for state in level:
-            if lam is not None:
-                S, t1, t2 = state
-                if t1 > t1_max or t2 > t2_max or not all(map(le, S, limits[i - 1])):
-                    continue
-            groups.setdefault(_row_bases(r, m, i, *state, lam), []).append(state)
         below: dict = {}
-        for bounds, states in groups.items():
-            push(i, _row_fills(r, i, *bounds, bucket), ((s, level.pop(s)) for s in states), below)
+        if lam is None:
+            groups: dict = {}
+            for state in level:
+                groups.setdefault(_row_bases(r, m, i, *state), []).append(state)
+            for bounds, states in groups.items():
+                push(i, _row_fills(r, i, *bounds), ((s, level.pop(s)) for s in states), below)
+        else:
+            for move in level.items():
+                S, t1, t2 = move[0]
+                if t1 <= t1_max and t2 <= t2_max and all(map(le, S, limits[i - 1])):
+                    bounds = _row_bases(r, m, i, S, t1, t2, lam)
+                    push(i, _row_fills(r, i, *bounds, bucket), iter((move,)), below)
         level = below
     return level
 

@@ -21,6 +21,7 @@ from dlocal.decoration import (
     ORDINARY,
     _circled_probes,
     _row_analysis,
+    _row_probes,
     _row_shape,
     _strictness_failure,
     strictness_counts,
@@ -575,6 +576,7 @@ class TestShapeTableAgainstPerValueRows:
 
 
 def test_d6_counts_classify_511_row_shapes():
+    _row_probes.cache_clear()
     _row_analysis.cache_clear()
     strictness_counts(build_root_system(6), HighestWeight.from_twist((0,) * 6))
     assert _row_analysis.cache_info().currsize == 511

@@ -21,11 +21,14 @@ from dlocal import (
 from dlocal.decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
+    ORDINARY,
+    _circled_probes,
+    _row_shape,
     _strictness_failure,
     component_structure,
 )
 from dlocal.local_part import _strict_bucket, component_rule, row_term
-from dlocal.pattern import _row_bucket
+from dlocal.pattern import _count_push, _row_bucket, _state_walk
 
 
 def p(e, n=2):
@@ -204,6 +207,78 @@ class TestRowRule:
                             expected = expected * component_rule(comp, value, row_crit, 3)[0]
                     assert factor == expected
             assert (None in factors) == (_strictness_failure(T, crit) is not None)
+
+
+def _walked_row_fills(twist):
+    """Every (i, row, crit) that the full walk of a D4 twist meets, once each."""
+    met = {}
+
+    def push(i, fills, moves, below):
+        met.update(((i,) + fill, None) for fill in fills)
+        _count_push(i, fills, moves, below)
+
+    _state_walk(4, HighestWeight.from_twist(twist).m, None, 1, push)
+    return list(met)
+
+
+def _ring_sigma(y, circled, n):
+    """The entry rule, transcribed with ring products."""
+    if y == 0:
+        return one(n)
+    if circled:
+        return gauss_symbol(y, n) * p(-1, n)
+    return one(n) - p(-1, n) if y % n == 0 else RingElem.zero(n)
+
+
+def _ring_component_rule(comp, value, crit, n):
+    """The component rule, transcribed with ring products."""
+    if value == 0:
+        return one(n)
+    if comp.kind == ML_ASYMMETRIC:
+        return _ring_sigma(value, False, n)
+    if comp.kind != ML_SYMMETRIC:
+        return _ring_sigma(value, comp.rightmost in crit, n)
+    if comp.rightmost in crit:
+        return _ring_sigma(value, True, n) * _ring_sigma(value, False, n) * p(1 - comp.length, n)
+    return _ring_sigma(value, False, n) * (one(n) - p(-comp.length, n))
+
+
+class TestRowTermAgainstRingProducts:
+    """``row_term`` forms a row factor without ring products; ring products agree."""
+
+    TWISTS = [(0, 1, 2, 0), (1, 0, 0, 1), (2, 2, 0, 0), (0, 0, 2, 1)]
+
+    def test_every_walked_row_at_n_1_to_4(self):
+        branches = set()
+        for twist in self.TWISTS:
+            for i, row, crit in _walked_row_fills(twist):
+                components, edges = _row_shape(4, i, row)
+                nonstrict = _circled_probes(edges, i, row, crit)
+                for n in (1, 2, 3, 4):
+                    factor = row_term(4, i, row, crit, n)
+                    if nonstrict:
+                        assert factor is None
+                        continue
+                    expected = p(sum(row), n)
+                    for comp in components:
+                        value = row[comp.columns[0] - i]
+                        rule = component_rule(comp, value, crit, n)[0]
+                        assert rule == _ring_component_rule(comp, value, crit, n)
+                        expected = expected * rule
+                        if value and not rule.is_zero:
+                            circ = comp.rightmost in crit
+                            if comp.kind == ML_SYMMETRIC and comp.length >= 2:
+                                branches.add(("symmetric", circ))
+                            if comp.kind == ML_ASYMMETRIC:
+                                branches.add("asymmetric")
+                            if circ and value % n == 0 and comp.kind == ORDINARY:
+                                branches.add("sign")
+                    assert factor == expected
+                    if factor.is_zero:
+                        branches.add("zero")
+        assert branches == {
+            ("symmetric", True), ("symmetric", False), "asymmetric", "sign", "zero"
+        }
 
 
 class TestAssembly:
