@@ -57,8 +57,9 @@ from .pattern import (
     LittelmannPattern,
     Position,
     _below,
+    _bucket_entries,
     _check_args,
-    _row_bucket,
+    _fill_row,
     _state_walk,
     critical_positions,
 )
@@ -83,7 +84,7 @@ class LocalPart(_Record):
             raise ValueError(f"weight must have {self.rank} entries, got {len(key)}")
         if None in key:
             raise ValueError(f"weight entries must be integers, got {lam}")
-        return self.coefficients.get(key, RingElem.zero(self.n))
+        return self.coefficients.get(key) or RingElem.zero(self.n)
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.coefficients)
@@ -237,10 +238,9 @@ def _strict_bucket(n, r, i, bases, top_base, bot_base, first):
     The entries are (adds, (row, factor terms)): a query's ``_row_fills``
     filters them by its caps and ``_extend`` reads the factors, so
     ``row_term`` runs once per fill of the slice, when the bucket is built.
-    The other fills are dropped before their adds are read, and never kept.
+    The other fills are dropped before their adds are read.
     """
-    keep = partial(_kept, r, n, i)
-    return _row_bucket.__wrapped__(r, i, bases, top_base, bot_base, first, keep)
+    return _bucket_entries(r, i, _kept(r, n, i, _fill_row(r, i, bases, top_base, bot_base, first)))
 
 
 def _extend_fills(r, n, i, fills, moves, below):

@@ -56,18 +56,18 @@ lexicographic order of the emitted patterns.
 Sums over patterns never list them: ``_state_walk`` pushes values down
 the states between rows one row at a time, and ``count_patterns``,
 ``local_part`` and ``decoration.strictness_counts`` each supply its push.
-Untargeted, it fills a row once per group of states with equal bounds,
-and a counting push carries the group's total along the fills of one
-state.  Given a target weight, it fills each state alone from buckets
-that queries share, and drops the states that ``_sum_limits`` shows
-cannot reach the target.
+It fills a row once per group of states with equal bounds, and a counting
+push carries the group's total along the fills of one state.  A target
+weight enters only through ``_sum_limits``: a row's caps are its limits
+less the state, and its fills come from buckets that queries share.  A
+group is then one state, and no state above the limits is pushed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, compress, product
-from operator import add, eq, le
+from operator import add, eq, le, sub
 from typing import Iterator
 
 from .root_data import HighestWeight, RootSystemD, _at_least, _Frozen, _int
@@ -149,7 +149,7 @@ class LittelmannPattern(_Frozen):
 # -- bounds and criticality ---------------------------------------------------
 
 
-def _row_bases(r, m, i, S, t1, t2, lam=None):
+def _row_bases(r, m, i, S, t1, t2, limits=None):
     """Row i's bounds without their in-row terms, from the state above it.
 
     ``S[k]`` is S(i-1+k, i-1) for k = 0..r-1-i (S(0, .) = 0), ``t1``, ``t2``
@@ -158,15 +158,15 @@ def _row_bases(r, m, i, S, t1, t2, lam=None):
     bar(i, j-1) bounds bar(i, j), and bases[k] - 2 bar(i, j) + bar(i, j-1) +
     (a_{i,j+1} + bar(i, j+1), or the middle pair for j = r-2) bounds a_{i,j};
     top_base and bot_base plus bar(i, r-2) bound a_{i,r-1} and a_{i,r}, an
-    in-row term outside row i being 0.  caps is None without a target
-    ``lam``, else (lam - S for columns i..r-2, lam - T1, lam - T2).
+    in-row term outside row i being 0.  caps is None without ``limits``
+    (row i's ``_sum_limits``), else those limits minus the state.
     """
-    cols = range(r - 1 - i)
     ext = S + (t1 + t2,)
-    bases = tuple(m[r - i - k] + ext[k] - 2 * ext[k + 1] + ext[k + 2] for k in cols)
+    bases = tuple(m[r - i - k] + ext[k] - 2 * ext[k + 1] + ext[k + 2] for k in range(r - 1 - i))
     caps = None
-    if lam is not None:
-        caps = tuple(lam[r - i - k] - S[k + 1] for k in cols), lam[0] - t1, lam[1] - t2
+    if limits is not None:
+        cols, t1_max, t2_max = limits
+        caps = tuple(map(sub, cols, S[1:])), t1_max - t1, t2_max - t2
     return bases, m[1] + S[-1] - 2 * t1, m[0] + S[-1] - 2 * t2, caps
 
 
@@ -253,26 +253,29 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None, bucket=None):
         return _fill_row(r, i, bases, top_base, bot_base)
     cap, top_cap, bot_cap = caps
     first = cap[0] if cap else (top_cap, bot_cap)
-    limits = cap[1:] + (top_cap, bot_cap)
+    rest = cap[1:] + (top_cap, bot_cap)
     entries = (bucket or _row_bucket)(r, i, bases, top_base, bot_base, first)
-    return [fill for adds, fill in entries if all(map(le, adds, limits))]
+    return [fill for adds, fill in entries if all(map(le, adds, rest))]
 
 
 @lru_cache(maxsize=None)
-def _row_bucket(r, i, bases, top_base, bot_base, first, keep=None):
-    """(adds, fill) for the fills of row i that add ``first`` to column i.
+def _row_bucket(r, i, bases, top_base, bot_base, first):
+    """``_bucket_entries`` of row i's fills adding ``first`` to column i, (d1, d2) at the last row.
 
-    ``first`` is (d1, d2) at the last row; adds = (ds[1..mid-1], d1, d2),
-    read off by ``_below``, is what the fill adds under the other caps.
     The cache is unbounded, like ``row_term``'s: queries on one highest
     weight meet the same buckets again (a coeff-queries round makes 3,662
     targeted row fills from 741 buckets), and a bucket holds, and a cold
     query enumerates, every fill of its slice, not just those under caps.
-    ``local_part._strict_bucket`` builds one uncached with ``keep``, which
-    maps the fills to those it keeps before their adds are read.
     """
-    fills = _fill_row(r, i, bases, top_base, bot_base, first)
-    fills = keep(fills) if keep else fills
+    return _bucket_entries(r, i, _fill_row(r, i, bases, top_base, bot_base, first))
+
+
+def _bucket_entries(r, i, fills):
+    """(adds, fill) for the (row, ...) ``fills`` of row i; adds = (ds[1..mid-1], d1, d2).
+
+    adds, read off by ``_below``, is what the fill adds under the caps after
+    the first.  ``local_part._strict_bucket`` passes (row, factor terms).
+    """
     adds = _below((0,) * (r - i), 0, 0, fills)
     return tuple((ds[1:] + (d1, d2), fill) for (ds, d1, d2), fill in zip(adds, fills))
 
@@ -354,19 +357,21 @@ def _below(S, t1, t2, fills):
 
 
 def _sum_limits(r, m, lam):
-    """Upper limits on the column sums of the states that can complete to ``lam``.
+    """Per row i = 1..r-1, limits on the states below it that can complete to ``lam``.
 
-    Returns (limits, t1_max, t2_max).  A state (S, t1, t2) above row i with
-    an S[k] > limits[i-1][k], t1 > t1_max or t2 > t2_max has no completion
-    of weight lam.  Let col(c) = lam[r-c] be the final S(c, c) for 1 <= c <=
-    r-2, with col(0) = 0 and col(r-1) = lam[0] + lam[1] (the final T1 + T2).
+    Row i's entry is (cols, t1_max, t2_max): a state (S, t1, t2) below row i
+    with an S[k] > cols[k], t1 > t1_max or t2 > t2_max has no completion of
+    weight lam; with no target every entry is None.  Let col(c) = lam[r-c]
+    be the final S(c, c) for 1 <= c <= r-2, with col(0) = 0 and col(r-1) =
+    lam[0] + lam[1] (the final T1 + T2).
 
-    * For k < c, S(c, k) <= L_c = min(col(c), (m[r-c] + col(c-1) +
+    * cols = (col(i), L_{i+1}, ..., L_{r-2}): S[0] = S(i, i) is final, and
+      for k < c, S(c, k) <= L_c = min(col(c), (m[r-c] + col(c-1) +
       col(c+1)) // 2, 2 (m[r-c] + ... + m[2]) + m[0] + m[1] + 2 col(c-1) -
-      col(c)).  limits[i-1] = (col(i-1), L_i, ..., L_{r-2}): S[0] = S(i-1,
-      i-1) is final.
-    * Before the last row, T1 <= min(lam[0], (m[1] + col(r-2)) // 2, m[1] +
-      col(r-2) - lam[0]), and T2 likewise with m[0] and lam[1].
+      col(c)).  L_1 would bound only the top state, where row 1's cap implies it.
+    * Below the last row T1 = lam[0]; below the others T1 <= min(lam[0],
+      (m[1] + col(r-2)) // 2, m[1] + col(r-2) - lam[0]).  T2 likewise with
+      m[0] and lam[1].
 
     Why: a row has fills only when every box of steps is nonempty, so its
     bases, top_base and bot_base are >= 0, and column sums only grow.  So at
@@ -377,17 +382,20 @@ def _sum_limits(r, m, lam):
     sum(bases) + top_base + bot_base of row c, and that sum telescopes to
     2 (m[r-c] + ... + m[2]) + m[0] + m[1] + 2 col(c-1) - 2 S(c, c-1).
     """
+    if lam is None:
+        return [None] * (r - 1)
     col = (0,) + lam[:1:-1] + (lam[0] + lam[1],)
     tail, limits = m[0] + m[1], []
-    for c in range(r - 2, 0, -1):
+    for c in range(r - 2, 1, -1):
         tail += 2 * m[r - c]
         limits.append(min(
             col[c], (m[r - c] + col[c - 1] + col[c + 1]) // 2, tail + 2 * col[c - 1] - col[c]
         ))
-    limits.reverse()  # L_1 .. L_{r-2}
+    limits.reverse()  # L_2 .. L_{r-2}
     t1_max = min(lam[0], (m[1] + col[r - 2]) // 2, m[1] + col[r - 2] - lam[0])
     t2_max = min(lam[1], (m[0] + col[r - 2]) // 2, m[0] + col[r - 2] - lam[1])
-    return [(col[i - 1],) + tuple(limits[i - 1 :]) for i in range(1, r)], t1_max, t2_max
+    rows = [((col[i],) + tuple(limits[i - 1 :]), t1_max, t2_max) for i in range(1, r - 1)]
+    return rows + [((), lam[0], lam[1])]
 
 
 def _state_walk(r, m, lam, start, push, bucket=None):
@@ -410,43 +418,34 @@ def _state_walk(r, m, lam, start, push, bucket=None):
     patterns, as the counts are, may carry a group's total along the fills
     of one state (``_group_total``); the final keys are then representatives.
 
-    Under ``lam`` a group is one state (its caps fix S(i..r-2), T1 and T2,
-    and S[0] is final), so each state is pushed alone with its own bounds
-    and ``bucket``; one above any of its ``_sum_limits`` cannot complete and
-    is dropped.  The limits see sums only: on coeff-queries round 0 (seed
-    1) 3,662 states pass them, 1,593 reach lam through strict nonzero fills
-    and 2,491 through bounded fills: 1,171 are arithmetic dead ends, and
-    898 die of strictness (one of them of a zero factor).
+    Under ``lam`` the bounds carry caps, row i's ``_sum_limits`` minus the
+    state, so a group is one state (the caps fix S(i..r-2), T1 and T2, and
+    S[0] is final), filled from ``bucket``, and no fill leads to a state
+    above the limits.  The limits see sums only: on coeff-queries round 0
+    (seed 1) 3,662 states are filled, 1,593 reach lam through strict
+    nonzero fills and 2,491 through bounded fills: 1,171 are arithmetic
+    dead ends, and 898 die of strictness (one of them of a zero factor).
     """
     level = {((0,) * (r - 1), 0, 0): start}
-    if lam is not None:
-        limits, t1_max, t2_max = _sum_limits(r, m, lam)
-    for i in range(1, r):
+    for i, limits in enumerate(_sum_limits(r, m, lam), start=1):
+        groups: dict = {}
+        for state in level:
+            groups.setdefault(_row_bases(r, m, i, *state, limits), []).append(state)
         below: dict = {}
-        if lam is None:
-            groups: dict = {}
-            for state in level:
-                groups.setdefault(_row_bases(r, m, i, *state), []).append(state)
-            for bounds, states in groups.items():
-                push(i, _row_fills(r, i, *bounds), ((s, level.pop(s)) for s in states), below)
-        else:
-            for move in level.items():
-                S, t1, t2 = move[0]
-                if t1 <= t1_max and t2 <= t2_max and all(map(le, S, limits[i - 1])):
-                    bounds = _row_bases(r, m, i, S, t1, t2, lam)
-                    push(i, _row_fills(r, i, *bounds, bucket), iter((move,)), below)
+        for bounds, states in groups.items():
+            push(i, _row_fills(r, i, *bounds, bucket), ((s, level.pop(s)) for s in states), below)
         level = below
     return level
 
 
-def _complete(r, m, lam, i, S, t1, t2):
-    """Yield (rows, per-row crit tuples) over all completions from row i, sorted."""
+def _complete(r, m, limits, i, S, t1, t2):
+    """Yield (rows, per-row crit tuples) of the completions from row i under ``limits``, sorted."""
     if i == r:
         yield (), ()
         return
-    fills = sorted(_row_fills(r, i, *_row_bases(r, m, i, S, t1, t2, lam)))
+    fills = sorted(_row_fills(r, i, *_row_bases(r, m, i, S, t1, t2, limits[i - 1])))
     for (row, crit), state in zip(fills, _below(S, t1, t2, fills)):
-        for rest_rows, rest_crit in _complete(r, m, lam, i + 1, *state):
+        for rest_rows, rest_crit in _complete(r, m, limits, i + 1, *state):
             yield (row,) + rest_rows, (crit,) + rest_crit
 
 
@@ -469,9 +468,9 @@ def enumerate_decorated(
     Criticality falls out of the fill bounds, so consumers that need the
     decorations avoid a second bound pass.
     """
-    weight_filter = _check_args(rs, hw, weight_filter)
-    r = rs.rank
-    for rows, crit in _complete(r, hw.m, weight_filter, 1, (0,) * (r - 1), 0, 0):
+    r, m = rs.rank, hw.m
+    limits = _sum_limits(r, m, _check_args(rs, hw, weight_filter))
+    for rows, crit in _complete(r, m, limits, 1, (0,) * (r - 1), 0, 0):
         circled = frozenset(pos for row_crit in crit for pos in row_crit)
         yield LittelmannPattern(rank=r, rows=rows), circled
 

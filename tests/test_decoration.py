@@ -29,10 +29,12 @@ from dlocal.decoration import (
 from dlocal.local_part import row_term
 from dlocal.pattern import (
     _below,
+    _complete,
     _count_push,
     _row_bases,
     _row_fills,
     _state_walk,
+    _sum_limits,
     count_patterns,
     weight_vector,
 )
@@ -299,9 +301,25 @@ class TestStrictness:
 
 
 def reference_strictness_counts(rs, hw, weight=None):
-    """(total, nonstrict) by walking every pattern, the way the counts once ran."""
+    """(total, nonstrict) by walking every pattern, the way the counts once ran.
+
+    Under ``weight`` the untargeted enumeration is filtered by
+    ``weight_vector``, so no target's limits reach the reference.  A
+    pattern's entries sum to the entries of its weight, which skips most
+    patterns before they are built.
+    """
+    r = rs.rank
+    decorated = enumerate_decorated(rs, hw)
+    if weight is not None:
+        rows_crit = _complete(r, hw.m, _sum_limits(r, hw.m, None), 1, (0,) * (r - 1), 0, 0)
+        patterns = (
+            (LittelmannPattern(r, rows), frozenset(pos for row_crit in crit for pos in row_crit))
+            for rows, crit in rows_crit
+            if sum(map(sum, rows)) == sum(weight)
+        )
+        decorated = (item for item in patterns if weight_vector(item[0]) == weight)
     total = nonstrict = 0
-    for T, crit in enumerate_decorated(rs, hw, weight):
+    for T, crit in decorated:
         total += 1
         if _strictness_failure(T, crit) is not None:
             nonstrict += 1

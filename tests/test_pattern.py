@@ -1,6 +1,7 @@
 """Pattern shapes, bounds, criticality, weights, and enumeration."""
 
 import random
+import sys
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -30,7 +31,12 @@ from dlocal.pattern import (
     _row_bucket,
     _row_fills,
     _state_walk,
+    _sum_limits,
 )
+
+# The package re-exports the function ``local_part`` under the submodule's
+# name, so the module is taken from sys.modules.
+local_part_module = sys.modules["dlocal.local_part"]
 
 
 def zero_pattern(r):
@@ -141,8 +147,8 @@ def fill_states(T, hw):
     r = T.rank
     state = ((0,) * (r - 1), 0, 0)
     states = [state]
-    for i, row in enumerate(T.rows, start=1):
-        fills = _row_fills(r, i, *_row_bases(r, hw.m, i, *state, weight_vector(T)))
+    for (i, row), limits in zip(enumerate(T.rows, start=1), _sum_limits(r, hw.m, weight_vector(T))):
+        fills = _row_fills(r, i, *_row_bases(r, hw.m, i, *state, limits))
         (state,) = [st for f, st in zip(fills, _below(*state, fills)) if f[0] == row]
         states.append(state)
     return states
@@ -455,7 +461,7 @@ class TestEnumeration:
         sharded = []
         for chunk in chunks:
             for fill, state in chunk:
-                for rest, _ in _complete(3, hw.m, None, 2, *state):
+                for rest, _ in _complete(3, hw.m, _sum_limits(3, hw.m, None), 2, *state):
                     sharded.append((fill[0],) + rest)
         assert sorted(sharded) == sequential
 
@@ -557,13 +563,19 @@ class TestRowFillsAgainstBounds:
 # above row i is the whole tuple s (s[c-1] = S(c, i-1) for c = 1..r-2), and
 # each fill carries the whole tuple after the row.  The grouped fills must
 # give the same rows and critical tuples, and ``_below`` must step the state
-# to the same sums.
+# to the same sums.  Under a target, the walk's caps are the limits below
+# the row, from ``_sum_limits``, minus the state.
 
 _NO_CAP = 1 << 62
 
 
-def per_state_row_fills(r, m, i, s, t1, t2, lam):
-    """(row, crit, new_s, new_t1, new_t2) for every valid fill of row i."""
+def per_state_row_fills(r, m, i, s, t1, t2, limits):
+    """(row, crit, new_s, new_t1, new_t2) for every valid fill of row i.
+
+    ``limits`` is None, or (cols, t1_max, t2_max): the new S(i..r-2), T1
+    and T2 may not exceed them, and S(i) must equal cols[0] (at the last
+    row, T1 and T2 must equal t1_max and t2_max).
+    """
     last = r - 2
     S = (0,) + s
     base = [0] * (last + 1)
@@ -571,11 +583,14 @@ def per_state_row_fills(r, m, i, s, t1, t2, lam):
         base[j] = m[r - j] + S[j - 1] - 2 * S[j] + (S[j + 1] if j < last else t1 + t2)
     top_base, bot_base = m[1] + S[last] - 2 * t1, m[0] + S[last] - 2 * t2
     out = []
+    exact = limits is not None
+    if exact:
+        cols, t1_max, t2_max = limits
     if i > last:
-        if lam is None:
+        if not exact:
             tops, bots = range(top_base + 1), range(bot_base + 1)
         else:
-            top, bot = lam[0] - t1, lam[1] - t2
+            top, bot = t1_max - t1, t2_max - t2
             tops = (top,) if 0 <= top <= top_base else ()
             bots = (bot,) if 0 <= bot <= bot_base else ()
         for top in tops:
@@ -585,13 +600,12 @@ def per_state_row_fills(r, m, i, s, t1, t2, lam):
                 out.append(((top, bot), crit, s, t1 + top, t2 + bot))
         return out
 
-    exact = lam is not None
     cap = [_NO_CAP] * (last + 1)
     if exact:
         for j in range(i, last + 1):
-            cap[j] = lam[r - j] - S[j]
-    top_cap = lam[0] - t1 if exact else _NO_CAP
-    bot_cap = lam[1] - t2 if exact else _NO_CAP
+            cap[j] = cols[j - i] - S[j]
+    top_cap = t1_max - t1 if exact else _NO_CAP
+    bot_cap = t2_max - t2 if exact else _NO_CAP
     flip = 2 * r - 1 - i
     mid = r - 1 - i
     vals = [0] * (2 * (r - i))
@@ -702,13 +716,13 @@ class TestGroupedFillsAgainstPerStateFills:
         states = 0
         for lam in lams:
             level = {((0,) * (r - 2), 0, 0)}
-            for i in range(1, r):
+            for i, limits in enumerate(_sum_limits(r, hw.m, lam), start=1):
                 below = set()
                 for s, t1, t2 in sorted(level):
                     states += 1
-                    expected = per_state_row_fills(r, hw.m, i, s, t1, t2, lam)
+                    expected = per_state_row_fills(r, hw.m, i, s, t1, t2, limits)
                     state = ((0,) + s)[i - 1 :], t1, t2
-                    bounds = _row_bases(r, hw.m, i, *state, lam)
+                    bounds = _row_bases(r, hw.m, i, *state, limits)
                     if bounds not in groups:
                         groups[bounds] = _row_fills(r, i, *bounds)
                     fills = groups[bounds]
@@ -734,15 +748,26 @@ def row_sums(row):
     return tuple(row[k] + row[-1 - k] for k in range(mid)), row[mid], row[mid + 1]
 
 
-def child_bounds(bounds, fill):
-    """The bounds below ``fill`` from its group's bounds, by the rule in ``_state_walk``."""
+def child_bounds(bounds, fill, limits=None, child_limits=None):
+    """The bounds below ``fill`` from its group's bounds, by the rule in ``_state_walk``.
+
+    A cap is a limit minus the state, so below the fill it drops by what
+    the fill adds and moves by the change from row i's ``limits`` to the
+    next row's ``child_limits``.
+    """
     bases, top, bot, caps = bounds
     ds, d1, d2 = row_sums(fill[0])
     dd = ds + (d1 + d2,)
     below = tuple(bases[k + 1] + dd[k] - 2 * dd[k + 1] + dd[k + 2] for k in range(len(ds) - 1))
     if caps is not None:
-        cap, top_cap, bot_cap = caps
-        caps = tuple(map(sub, cap[1:], ds[1:])), top_cap - d1, bot_cap - d2
+        (cap, top_cap, bot_cap), (cols, t1_max, t2_max) = caps, limits
+        child_cols, child_t1_max, child_t2_max = child_limits
+        moved = map(sub, map(sub, cap[1:], ds[1:]), map(sub, cols[1:], child_cols))
+        caps = (
+            tuple(moved),
+            top_cap - d1 + child_t1_max - t1_max,
+            bot_cap - d2 + child_t2_max - t2_max,
+        )
     return below, top + ds[-1] - 2 * d1, bot + ds[-1] - 2 * d2, caps
 
 
@@ -760,17 +785,19 @@ class TestGroupChildrenShareBounds:
     def test_children_bounds_follow_from_group_bounds(self, twist, lam):
         r = len(twist)
         m = HighestWeight.from_twist(twist).m
+        limits = _sum_limits(r, m, lam)
         checked = 0
 
         def push(i, fills, moves, below):
             nonlocal checked
             moves = list(moves)
-            bounds = _row_bases(r, m, i, *moves[0][0], lam)
+            bounds = _row_bases(r, m, i, *moves[0][0], limits[i - 1])
             for state, _ in moves:
                 children = _below(*state, fills)
                 if i < r - 1:
                     for fill, child in zip(fills, children):
-                        assert _row_bases(r, m, i + 1, *child, lam) == child_bounds(bounds, fill)
+                        expected = child_bounds(bounds, fill, limits[i - 1], limits[i])
+                        assert _row_bases(r, m, i + 1, *child, limits[i]) == expected
                         checked += 1
                 below.update(dict.fromkeys(children, 0))
 
@@ -794,8 +821,8 @@ def walk_weights(r, m):
 
 class TestTargetedFillsAreFilteredFills:
     """Under a target, a row's fills are its untargeted fills filtered by
-    the caps of ``_row_bases``, in the same order with the same critical
-    tuples.  A fill is kept when its row adds at most cap[k] to each column
+    the caps of ``_row_bases`` (``_sum_limits`` minus the state), in the
+    same order with the same critical tuples.  A fill is kept when its row adds at most cap[k] to each column
     and exactly cap[0] to column i, which no later row reaches; its middle
     pair adds at most the middle caps, and exactly them at the last row.
     Checked on every state of the targeted walks: all weights of every
@@ -817,20 +844,20 @@ class TestTargetedFillsAreFilteredFills:
         untargeted = {}
         checked = 0
 
-        def push(lam, i, fills, moves, below):
+        def push(limits, i, fills, moves, below):
             nonlocal checked
             for state, _ in moves:
-                bases, top, bot, caps = _row_bases(r, m, i, *state, lam)
+                bases, top, bot, caps = _row_bases(r, m, i, *state, limits[i - 1])
                 key = bases, top, bot
                 if key not in untargeted:
                     untargeted[key] = _row_fills(r, i, *key)
                 expected = [f for f in untargeted[key] if self.kept(f, caps, i == r - 1)]
-                assert fills == expected, (lam, i, state)
+                assert fills == expected, (limits, i, state)
                 below.update(dict.fromkeys(_below(*state, fills), 0))
                 checked += 1
 
         for lam in lams:
-            _state_walk(r, m, lam, 0, partial(push, lam))
+            _state_walk(r, m, lam, 0, partial(push, _sum_limits(r, m, lam)))
         return checked
 
     @pytest.mark.parametrize("twist", list(product(range(3), repeat=3)))
@@ -860,7 +887,8 @@ class TestTargetedFillsShareBuckets:
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(pattern_module, "_fill_row", counted)
+        for module in (pattern_module, local_part_module):
+            monkeypatch.setattr(module, "_fill_row", counted)
         rs, hw, lam = build_root_system(5), HighestWeight((1,) * 5), (3, 3, 5, 6, 4)
         _row_bucket.cache_clear()
         _strict_bucket.cache_clear()
@@ -872,7 +900,7 @@ class TestTargetedFillsShareBuckets:
 
     def test_returned_fills_are_a_fresh_list(self):
         hw = HighestWeight((1,) * 4)
-        bounds = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, (4, 4, 6, 4))
+        bounds = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, _sum_limits(4, hw.m, (4, 4, 6, 4))[0])
         fills = _row_fills(4, 1, *bounds)
         kept = list(fills)
         assert kept
@@ -882,7 +910,8 @@ class TestTargetedFillsShareBuckets:
 
     def test_bucket_entries_are_tuples(self):
         hw = HighestWeight.from_twist((0, 1, 2, 0))
-        bases, top, bot, (cap, _, _) = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, (10, 10, 17, 10))
+        limits = _sum_limits(4, hw.m, (10, 10, 17, 10))[0]
+        bases, top, bot, (cap, _, _) = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, limits)
         bucket = _row_bucket(4, 1, bases, top, bot, cap[0])
         assert isinstance(bucket, tuple) and bucket
         for entry in bucket:
@@ -897,7 +926,7 @@ def per_weight_strictness_counts(r, m):
 
     Each state carries {finished column sums: (total, strict)}, pushed along
     every fill of every state; with no target the walk has no
-    ``_sum_limits`` to drop states by.
+    ``_sum_limits`` to cap its fills by.
     """
 
     def push(i, fills, moves, below):
@@ -919,13 +948,20 @@ def per_weight_strictness_counts(r, m):
     return {lam: (t, t - s) for lam, (t, s) in by_weight.items()}
 
 
-def strictness_count_mismatches(twist):
-    """Weights where the targeted ``strictness_counts`` differ from the untargeted walk's."""
+def strictness_count_mismatches(twist, count=None, seed=0):
+    """Weights where the targeted ``strictness_counts`` differ from the untargeted walk's.
+
+    Every weight of the patterns is checked, or ``count`` of them sampled
+    with ``seed``, and one weight outside them.
+    """
     rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
     expected = per_weight_strictness_counts(rs.rank, hw.m)
+    lams = sorted(expected)
+    if count is not None:
+        lams = random.Random(seed).sample(lams, count)
     outside = tuple(v + 1 for v in max(expected))
     expected[outside] = (0, 0)
-    return (lam for lam, counts in expected.items() if strictness_counts(rs, hw, lam) != counts)
+    return (lam for lam in lams + [outside] if strictness_counts(rs, hw, lam) != expected[lam])
 
 
 @lru_cache(maxsize=None)
@@ -947,7 +983,7 @@ def query_mismatches(n, count=300, seed=20):
 
 
 class TestSumLimits:
-    """A targeted walk drops the states above ``_sum_limits``, and so no
+    """A targeted walk caps its fills by ``_sum_limits``, and so drops no
     state that can complete: per-weight counts and single coefficients
     still match walks and parts computed with no target, and lowering any
     one limit by 1 is seen by both checks.
@@ -969,17 +1005,21 @@ class TestSumLimits:
         limits_of = pattern_module._sum_limits
 
         def lowered(r, m, lam):
-            limits, t1_max, t2_max = limits_of(r, m, lam)
-            if which == "t1":
-                return limits, t1_max - 1, t2_max
-            if which == "t2":
-                return limits, t1_max, t2_max - 1
-            # limits[i-1][k] bounds column i-1+k; k = 0 is the finished column
-            limits = [
-                tuple(v - (k > 0 and i - 1 + k == which) for k, v in enumerate(row))
-                for i, row in enumerate(limits, start=1)
-            ]
-            return limits, t1_max, t2_max
+            rows = limits_of(r, m, lam)
+            if lam is None:
+                return rows
+            last = rows.pop()  # T1 and T2 must equal lam's there
+            if which in ("t1", "t2"):
+                rows = [(cols, t1 - (which == "t1"), t2 - (which == "t2")) for cols, t1, t2 in rows]
+            else:
+                # Row i's cols[k] bounds column i+k, and at k = 0 it is the exact
+                # sum of the column that row i finishes.  The limits of column c
+                # lie at k > 0; column 1 has none, so its exact sum is lowered.
+                rows = [
+                    (tuple(v - (i + k == which and (k > 0 or i == 1)) for k, v in enumerate(cols)), t1, t2)
+                    for i, (cols, t1, t2) in enumerate(rows, start=1)
+                ]
+            return rows + [last]
 
         monkeypatch.setattr(pattern_module, "_sum_limits", lowered)
         assert next(query_mismatches(1), None) is not None
