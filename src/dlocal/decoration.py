@@ -26,10 +26,10 @@ A row's components and edge probes depend only on its shape: which
 row-chain neighbours are equal, not what the entries are.  So
 ``_row_analysis`` memoizes them per (rank, row index, equality mask); a
 component carries no value, and its callers read the shared value from
-the row.  The zero probes are read from the row at the circled
-positions.  ``_circled_probes`` is the one strictness test; ``_row_probes``
-keeps per row the positions it flags, where ``local_part.row_term``, the
-push of ``strictness_counts`` and ``_strictness_failure`` read them.
+the row.  ``_row_probes`` is the one strictness test: it keeps per row
+the shape's components and probes, the edge probes with the row's zero
+entries, and ``local_part.row_term``, the push of ``strictness_counts``,
+``_strictness_failure`` and ``component_structure`` read them there.
 """
 
 from __future__ import annotations
@@ -108,35 +108,23 @@ def _row_analysis(
     return components, probes
 
 
-def _row_shape(rank: int, i: int, row: tuple[int, ...]):
-    """``_row_analysis`` of row i with entries ``row``."""
-    pairs = row_chain_pairs(rank, i)
-    return _row_analysis(rank, i, tuple(row[a - i] == row[b - i] for a, b in pairs))
-
-
-def _circled_probes(edges, i: int, row: tuple[int, ...], crit) -> list[Position]:
-    """The positions of ``crit``, all in row i, that make a pattern nonstrict.
-
-    ``edges`` are the edge probes of the row's shape (``_row_shape``).  A
-    circled entry is a probe when it is 0 or an edge probe.  The positions
-    keep their order in ``crit``.
-    """
-    return [pos for pos in crit if row[pos[1] - i] == 0 or pos in edges]
-
-
 # Bounded: keeping all 38,889 distinct rows of untwisted D7 doubles its count's peak RSS.
 @lru_cache(maxsize=4096)
 def _row_probes(rank: int, i: int, row: tuple[int, ...]):
-    """(components, probes) of row i, the probes being all that ``_circled_probes`` flags."""
-    components, edges = _row_shape(rank, i, row)
-    every = [(i, j) for j in range(i, i + len(row))]
-    return components, frozenset(_circled_probes(edges, i, row, every))
+    """(components, probes) of row i with entries ``row``.
+
+    A circled entry makes the pattern nonstrict exactly when it is a probe:
+    an entry 0, or an edge probe of the row's shape (``_row_analysis``).
+    """
+    eq = tuple(row[a - i] == row[b - i] for a, b in row_chain_pairs(rank, i))
+    components, edges = _row_analysis(rank, i, eq)
+    return components, edges | {(i, j) for j, v in enumerate(row, start=i) if v == 0}
 
 
 def component_structure(T: LittelmannPattern) -> tuple[Component, ...]:
     """All components of the (undecorated) graph, row by row."""
     rows = enumerate(T.rows, start=1)
-    return tuple(comp for i, row in rows for comp in _row_shape(T.rank, i, row)[0])
+    return tuple(comp for i, row in rows for comp in _row_probes(T.rank, i, row)[0])
 
 
 def _strictness_failure(T: LittelmannPattern, circled) -> Optional[str]:

@@ -100,6 +100,14 @@ class LittelmannPattern(_Frozen):
         object.__setattr__(self, "rank", r)
         object.__setattr__(self, "rows", tuple(ints))
 
+    @classmethod
+    def _wrap(cls, rank: int, rows) -> "LittelmannPattern":
+        """A pattern owning ``rows``, int tuples from the fill kernel; no checks, no copy."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "rank", rank)
+        object.__setattr__(T, "rows", rows)
+        return T
+
     # -- access -------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
@@ -262,10 +270,10 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None, bucket=None):
 def _row_bucket(r, i, bases, top_base, bot_base, first):
     """``_bucket_entries`` of row i's fills adding ``first`` to column i, (d1, d2) at the last row.
 
-    The cache is unbounded, like ``row_term``'s: queries on one highest
-    weight meet the same buckets again (a coeff-queries round makes 3,662
-    targeted row fills from 741 buckets), and a bucket holds, and a cold
-    query enumerates, every fill of its slice, not just those under caps.
+    The cache is unbounded, like ``row_term``'s, and serves repeated targeted
+    counts and listings in one process; one call meets each bucket once (200
+    untwisted D5 ``strictness_counts``, each on a cleared cache: 0 hits in
+    5,311 lookups; 400 took 0.15 s sharing it, 0.47 s clearing it first).
     """
     return _bucket_entries(r, i, _fill_row(r, i, bases, top_base, bot_base, first))
 
@@ -472,7 +480,7 @@ def enumerate_decorated(
     limits = _sum_limits(r, m, _check_args(rs, hw, weight_filter))
     for rows, crit in _complete(r, m, limits, 1, (0,) * (r - 1), 0, 0):
         circled = frozenset(pos for row_crit in crit for pos in row_crit)
-        yield LittelmannPattern(rank=r, rows=rows), circled
+        yield LittelmannPattern._wrap(r, rows), circled
 
 
 def count_patterns(rs: RootSystemD, hw: HighestWeight) -> int:

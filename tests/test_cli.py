@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, and exit statuses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,25 @@ class TestPatterns:
         )
         assert code == 2
         assert "--weight" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--twist", "0,0,0,0"),
+                "835c6191b8afa7ccf510765a943d1072ec911e2e35f5bd6c2a58b80a4f352179",
+            ),
+            (
+                ("--twist", "0,1,2,0", "--weight", "10,10,17,10"),
+                "fb2ef4749dd04262c9e62fbeba1cffef0f64c7a567d4af9d1177bce8bdc63c72",
+            ),
+        ],
+    )
+    def test_json_listing_is_pinned(self, capsys, argv, digest):
+        # sha256 of the listings made while every pattern passed __init__'s checks.
+        code, out, _ = run(capsys, "patterns", "--rank", "4", *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExplain:

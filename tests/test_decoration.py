@@ -19,10 +19,8 @@ from dlocal.decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
     ORDINARY,
-    _circled_probes,
     _row_analysis,
     _row_probes,
-    _row_shape,
     _strictness_failure,
     strictness_counts,
 )
@@ -371,7 +369,7 @@ def per_state_strictness_counts(rs, hw, weight=None):
     r = rs.rank
 
     def push(i, fills, moves, below):
-        passes = [not _circled_probes(_row_shape(r, i, f[0])[1], i, f[0], f[1]) for f in fills]
+        passes = [_row_probes(r, i, row)[1].isdisjoint(crit) for row, crit in fills]
         for (S, t1, t2), (total, strict) in moves:
             for passed, state in zip(passes, _below(S, t1, t2, fills)):
                 t, s = below.get(state, (0, 0))
@@ -556,16 +554,16 @@ class TestShapeTableAgainstPerValueRows:
 
     def check_row(self, rank, i, row, crit):
         ref_components, ref_probes = per_value_row_analysis(rank, i, row)
-        components = _row_shape(rank, i, row)[0]
+        components, probes = _row_probes(rank, i, row)
         assert [{f: getattr(c, f) for f in self.FIELDS} for c in components] == [
             {f: c[f] for f in self.FIELDS} for c in ref_components
         ]
         assert [row[c.columns[0] - i] for c in components] == [
             c["value"] for c in ref_components
         ]
+        assert probes == set(ref_probes)
         nonstrict = any(pos in ref_probes for pos in crit)
-        edges = _row_shape(rank, i, row)[1]
-        assert bool(_circled_probes(edges, i, row, crit)) == nonstrict
+        assert (not probes.isdisjoint(crit)) == nonstrict
         assert (row_term(rank, i, row, crit, 2) is None) == nonstrict
         T = one_row_pattern(rank, i, row)
         assert _strictness_failure(T, set(crit)) == per_value_strictness_failure(T, set(crit))

@@ -23,8 +23,7 @@ from dlocal.decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
     ORDINARY,
-    _circled_probes,
-    _row_shape,
+    _row_probes,
     _strictness_failure,
     component_structure,
 )
@@ -273,8 +272,8 @@ class TestRowTermAgainstRingProducts:
         branches = set()
         for twist in self.TWISTS:
             for i, row, crit in _walked_row_fills(twist):
-                components, edges = _row_shape(4, i, row)
-                nonstrict = _circled_probes(edges, i, row, crit)
+                components, probes = _row_probes(4, i, row)
+                nonstrict = not probes.isdisjoint(crit)
                 for n in (1, 2, 3, 4):
                     factor = row_term(4, i, row, crit, n)
                     if nonstrict:

@@ -22,7 +22,7 @@ from dlocal import (
     weyl_dimension,
 )
 from dlocal import pattern as pattern_module
-from dlocal.decoration import _circled_probes, _row_shape, strictness_counts
+from dlocal.decoration import _row_probes, strictness_counts
 from dlocal.local_part import _strict_bucket
 from dlocal.pattern import (
     _below,
@@ -930,7 +930,7 @@ def per_weight_strictness_counts(r, m):
     """
 
     def push(i, fills, moves, below):
-        passes = [not _circled_probes(_row_shape(r, i, row)[1], i, row, crit) for row, crit in fills]
+        passes = [_row_probes(r, i, row)[1].isdisjoint(crit) for row, crit in fills]
         for (S, t1, t2), counts in moves:
             done = [(key + (S[0],), value) for key, value in counts.items()]
             for passed, state in zip(passes, _below(S, t1, t2, fills)):

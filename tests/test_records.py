@@ -18,6 +18,7 @@ from dlocal import (
     RootSystemD,
     VerificationReport,
     build_root_system,
+    enumerate_decorated,
 )
 from dlocal.decoration import ORDINARY, Component
 from dlocal.oracle import Case
@@ -49,6 +50,13 @@ def frozen_records():
             LittelmannPattern(2, ((1, 0),)),
             LittelmannPattern(rank=2, rows=((1, 0),)),
             LittelmannPattern(2, ((0, 1),)),
+            "rows",
+        ),
+        (
+            # enumerate_decorated builds its patterns without __init__'s checks.
+            list(enumerate_decorated(build_root_system(3), HighestWeight((1, 1, 1))))[-1][0],
+            LittelmannPattern(3, ((3, 2, 2, 1), (1, 1))),
+            LittelmannPattern(3, ((3, 2, 2, 1), (1, 0))),
             "rows",
         ),
     ]

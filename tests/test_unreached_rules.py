@@ -28,8 +28,7 @@ from dlocal import HighestWeight, build_root_system, decoration
 from dlocal.decoration import (
     ML_ASYMMETRIC,
     ML_SYMMETRIC,
-    _circled_probes,
-    _row_shape,
+    _row_probes,
     strictness_counts,
 )
 from dlocal.pattern import _below, _group_total, _state_walk
@@ -42,8 +41,8 @@ def fill_kind(r: int, i: int, row: tuple, crit: tuple) -> str:
     when its left leg (columns <= r-2) is the shorter, else its last; the
     upsilon of a symmetric leaner is the column just left of its last.
     """
-    components, edges = _row_shape(r, i, row)
-    if _circled_probes(edges, i, row, crit):
+    components, probes = _row_probes(r, i, row)
+    if not probes.isdisjoint(crit):
         return "nonstrict"
     for comp in components:
         columns = comp.columns
@@ -110,9 +109,15 @@ def test_walk_sees_a_reached_branch():
         }
         return components, probes - exempt
 
+    # _row_probes caches what it read from _row_analysis, so it is cleared
+    # on both sides of the patch: the mutant is neither hidden nor kept.
     rs, hw = build_root_system(5), HighestWeight.from_twist((0,) * 5)
     with pytest.MonkeyPatch.context() as patch:
+        _row_probes.cache_clear()
         patch.setattr(decoration, "_row_analysis", exempting)
-        total, strict, reached = unreached_rule_counts(rs, hw)
+        try:
+            total, strict, reached = unreached_rule_counts(rs, hw)
+        finally:
+            _row_probes.cache_clear()
     assert total == 2**20
     assert reached > 0
