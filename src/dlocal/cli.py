@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .coeff_ring import _gmono_str
 from .decoration import (
@@ -31,6 +32,8 @@ from .pattern import (
 )
 from .root_data import HighestWeight, build_root_system
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _int_vector(text: str) -> tuple[int, ...]:
     try:
@@ -43,22 +46,39 @@ def _fraction(text: str) -> Fraction:
     from fractions import Fraction
 
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {text!r}")
+        value = 0
+    if not value:  # p = 0 would fail only once the output had begun
+        raise argparse.ArgumentTypeError(f"expected a nonzero rational number, got {text!r}")
+    return value
 
 
-def _write(text: str, path) -> None:
+def _write(pieces, path) -> None:
+    """Write the text ``pieces`` as they come, then one newline.
+
+    The first piece is pulled before ``path`` is opened or stdout written,
+    so an error raised while producing it leaves no output and no file.
+    """
+    pieces = iter(pieces)
+    text = chain((next(pieces, ""),), pieces, ("\n",))
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(text)
     else:
         try:
-            print(text, flush=True)
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
         except BrokenPipeError:  # the reader left: let shutdown's flush go to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+
+
+def _joined(sep: str, pieces):
+    """``pieces`` with ``sep`` between each two."""
+    for i, piece in enumerate(pieces):
+        yield sep + piece if i else piece
 
 
 def _highest_weight(rank: int, twist) -> HighestWeight:
@@ -69,18 +89,19 @@ def _highest_weight(rank: int, twist) -> HighestWeight:
     return HighestWeight.from_twist(twist)
 
 
-def _format_eval_p(part: LocalPart, p_value: Fraction) -> str:
-    lines = [f"# evaluated at p = {p_value} (non-canonical output)"]
+def _coefficient_lines(part: LocalPart, p_value):
+    """One line per coefficient, with p substituted when ``p_value`` is given."""
+    if p_value is not None:
+        yield f"# evaluated at p = {p_value} (non-canonical output)"
     for lam in part.support():
-        pieces = []
-        for gmono, value in part.coefficients[lam].eval_p(p_value).items():
-            gstr = _gmono_str(gmono)
-            pieces.append(f"{value}*{gstr}" if gstr else str(value))
-        lines.append(f"{','.join(map(str, lam))}: {' + '.join(pieces) if pieces else '0'}")
-    return "\n".join(lines)
+        value = part.coefficients[lam]
+        if p_value is not None:
+            terms = [(c, _gmono_str(gmono)) for gmono, c in value.eval_p(p_value).items()]
+            value = " + ".join(f"{c}*{g}" if g else str(c) for c, g in terms) or "0"
+        yield f"{','.join(map(str, lam))}: {value}"
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args):
     hw = _highest_weight(args.rank, args.twist)
     if args.coeff is not None and len(args.coeff) != args.rank:
         raise ValueError(f"--coeff must have {args.rank} entries")
@@ -99,49 +120,20 @@ def cmd_compute(args) -> int:
                 "lambda": list(args.coeff),
                 "value": value.to_json_obj(),
             }
-            _write(json.dumps(obj, separators=(",", ":")), args.output)
-        else:
-            _write(str(value), args.output)
-        return 0
-
+            return [_compact(obj)], 0
+        return [str(value)], 0
     if args.format == "json":
-        _write(part.to_json_str(), args.output)
-    elif args.eval_p is not None:
-        _write(_format_eval_p(part, args.eval_p), args.output)
-    else:
-        lines = [
-            f"{','.join(map(str, lam))}: {part.coefficients[lam]}"
-            for lam in part.support()
-        ]
-        _write("\n".join(lines), args.output)
-    return 0
+        return part._json_pieces(), 0
+    return _joined("\n", _coefficient_lines(part, args.eval_p)), 0
 
 
-def cmd_patterns(args) -> int:
-    hw = _highest_weight(args.rank, args.twist)
-    if args.weight is not None and len(args.weight) != args.rank:
-        raise ValueError(f"--weight must have {args.rank} entries")
-    rs = build_root_system(args.rank)
-
-    if args.count_only:
-        total, nonstrict = strictness_counts(rs, hw, args.weight)
-        if args.format == "json":
-            obj = {"total": total, "nonstrict": nonstrict, "strict": total - nonstrict}
-            _write(json.dumps(obj, separators=(",", ":")), args.output)
-        else:
-            _write(
-                f"total {total}\nnonstrict {nonstrict}\nstrict {total - nonstrict}",
-                args.output,
-            )
-        return 0
-
-    records = []
-    lines = []
-    for T, crit in enumerate_decorated(rs, hw, args.weight):
+def _listing(patterns, fmt: str):
+    """One record or line per pattern."""
+    for T, crit in patterns:
         strict = _strictness_failure(T, crit) is None
         lam = weight_vector(T)
-        if args.format == "json":
-            records.append(
+        if fmt == "json":
+            yield _compact(
                 {
                     "pattern": T.to_string(),
                     "rows": [list(row) for row in T.rows],
@@ -152,18 +144,33 @@ def cmd_patterns(args) -> int:
             )
         else:
             cpos = ",".join(f"({i},{j})" for i, j in sorted(crit)) or "-"
-            lines.append(
+            yield (
                 f"{T.to_string()}  weight={','.join(map(str, lam))}"
                 f"  strict={'yes' if strict else 'no'}  critical={cpos}"
             )
+
+
+def cmd_patterns(args):
+    hw = _highest_weight(args.rank, args.twist)
+    if args.weight is not None and len(args.weight) != args.rank:
+        raise ValueError(f"--weight must have {args.rank} entries")
+    rs = build_root_system(args.rank)
+
+    if args.count_only:
+        total, nonstrict = strictness_counts(rs, hw, args.weight)
+        if args.format == "json":
+            obj = {"total": total, "nonstrict": nonstrict, "strict": total - nonstrict}
+            return [_compact(obj)], 0
+        return [f"total {total}\nnonstrict {nonstrict}\nstrict {total - nonstrict}"], 0
+
+    # enumerate_decorated checks its arguments here, before any piece exists.
+    pieces = _listing(enumerate_decorated(rs, hw, args.weight), args.format)
     if args.format == "json":
-        _write(json.dumps(records, separators=(",", ":")), args.output)
-    else:
-        _write("\n".join(lines), args.output)
-    return 0
+        return chain(("[",), _joined(",", pieces), ("]",)), 0
+    return _joined("\n", pieces), 0
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args):
     T = LittelmannPattern.from_string(args.pattern)
     if args.rank is not None and args.rank != T.rank:
         raise ValueError(f"pattern literal has rank {T.rank}, not {args.rank}")
@@ -186,38 +193,35 @@ def cmd_explain(args) -> int:
         )
     if failure is None:
         out.append("strict: yes")
-        out.append(
-            f"contribution: p^{sum(lam)} * product = {pattern_contribution(T, hw, n)}"
-        )
+        out.append(f"contribution: p^{sum(lam)} * product = {pattern_contribution(T, hw, n)}")
     else:
         out.append(f"strict: no ({failure})")
         out.append("contribution: excluded (nonstrict patterns are discarded)")
-    _write("\n".join(out), args.output)
-    return 0
+    return _joined("\n", out), 0
 
 
-def cmd_verify(args) -> int:
-    from .oracle import check_all, check_dimension, check_example2, check_rank2, check_tokuyama
+# The grid flags oracle.check_<suite> reads; a flag not given keeps the check's default.
+_SUITE_FLAGS = {
+    "dimension": ("max_rank", "max_twist"),
+    "tokuyama": ("max_rank",),
+    "rank2": ("max_twist", "max_n"),
+    "example2": (),
+}
+
+
+def cmd_verify(args):
+    from . import oracle
 
     if args.suite == "all":
-        reports = check_all()
+        reports = oracle.check_all()
     else:
-        # Each suite's check and the grid flags it reads.  A flag that was
-        # not given is not passed, so the defaults are the check's own.
-        check, flags = {
-            "dimension": (check_dimension, ("max_rank", "max_twist")),
-            "tokuyama": (check_tokuyama, ("max_rank",)),
-            "rank2": (check_rank2, ("max_twist", "max_n")),
-            "example2": (check_example2, ()),
-        }[args.suite]
-        given = {flag: getattr(args, flag) for flag in flags}
+        given = {flag: getattr(args, flag) for flag in _SUITE_FLAGS[args.suite]}
+        check = getattr(oracle, f"check_{args.suite}")
         reports = [check(**{flag: v for flag, v in given.items() if v is not None})]
+    status = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
-        payload = json.dumps([r.to_json_obj() for r in reports], separators=(",", ":"))
-        _write(payload, args.output)
-    else:
-        _write("\n".join(r.to_text() for r in reports), args.output)
-    return 0 if all(r.passed for r in reports) else 1
+        return [_compact([r.to_json_obj() for r in reports])], status
+    return _joined("\n", (r.to_text() for r in reports)), status
 
 
 class _Parser(argparse.ArgumentParser):
@@ -237,13 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--n", type=int, required=True, help="cover degree")
     compute.add_argument("--twist", type=_int_vector, required=True)
     compute.add_argument("--coeff", type=_int_vector, help="print only this coefficient")
-    compute.add_argument("--format", choices=("text", "json"), default="text")
-    compute.add_argument("--output", help="write to this path instead of stdout")
     compute.add_argument(
-        "--eval-p",
-        type=_fraction,
-        dest="eval_p",
-        help="substitute a rational p in text output (non-canonical)",
+        "--eval-p", type=_fraction, help="substitute a rational p in text output (non-canonical)"
     )
     compute.set_defaults(func=cmd_compute)
 
@@ -252,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     patterns.add_argument("--twist", type=_int_vector, required=True)
     patterns.add_argument("--weight", type=_int_vector, help="restrict to one weight")
     patterns.add_argument("--count-only", action="store_true", dest="count_only")
-    patterns.add_argument("--format", choices=("text", "json"), default="text")
-    patterns.add_argument("--output", help="write to this path instead of stdout")
     patterns.set_defaults(func=cmd_patterns)
 
     explain = sub.add_parser("explain", help="show one pattern's decorated graph and factors")
@@ -261,34 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--twist", type=_int_vector, required=True)
     explain.add_argument("--n", type=int, required=True)
     explain.add_argument("--rank", type=int, help="optional cross-check of the literal")
-    explain.add_argument("--output", help="write to this path instead of stdout")
     explain.set_defaults(func=cmd_explain)
 
     verify = sub.add_parser("verify", help="run the self-verification suites")
-    verify.add_argument(
-        "--suite",
-        choices=("dimension", "tokuyama", "rank2", "example2", "all"),
-        required=True,
-    )
+    verify.add_argument("--suite", choices=(*_SUITE_FLAGS, "all"), required=True)
     for flag in ("--max-rank", "--max-twist", "--max-n"):
         verify.add_argument(
             flag, type=int, help="defaults to the acceptance grid of the chosen suite"
         )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--output", help="write to this path instead of stdout")
     verify.set_defaults(func=cmd_verify)
 
+    for command in (compute, patterns, verify):
+        command.add_argument("--format", choices=("text", "json"), default="text")
+    for command in (compute, patterns, explain, verify):
+        command.add_argument("--output", help="write to this path instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        pieces, status = args.func(args)
+        _write(pieces, args.output)
+        return status
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

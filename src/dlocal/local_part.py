@@ -90,23 +90,23 @@ class LocalPart(_Record):
         return sorted(self.coefficients)
 
     def to_json_str(self) -> str:
-        """Compact JSON text, written one coefficient at a time.
+        """Compact JSON text, produced in pieces, one coefficient each.
 
         The text is what ``json.dumps`` gives, with separators (",", ":"),
         for {"rank", "n", "twist", "coefficients": [{"lambda", "value"}, ...]}
         with the coefficients in support order and each value in
-        ``RingElem.to_json_obj`` form; the object tree of the whole part
-        is never built.
+        ``RingElem.to_json_obj`` form.  The CLI writes the pieces as they
+        come, holding neither the whole part's object tree nor its text.
         """
-        coeffs = ",".join(
-            f'{{"lambda":[{",".join(map(str, lam))}],'
-            f'"value":{self.coefficients[lam].to_json_str()}}}'
-            for lam in self.support()
-        )
-        return (
-            f'{{"rank":{self.rank},"n":{self.n},"twist":[{",".join(map(str, self.twist))}],'
-            f'"coefficients":[{coeffs}]}}'
-        )
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self):
+        twist = ",".join(map(str, self.twist))
+        yield f'{{"rank":{self.rank},"n":{self.n},"twist":[{twist}],"coefficients":['
+        for i, lam in enumerate(self.support()):
+            value = self.coefficients[lam].to_json_str()
+            yield f'{"," if i else ""}{{"lambda":[{",".join(map(str, lam))}],"value":{value}}}'
+        yield "]}"
 
 
 def _reading(kind: str, length, value: int, circ: bool, n: int):

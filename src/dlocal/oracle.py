@@ -22,6 +22,7 @@ Four suites, each comparing canonical forms exactly (never numerically):
 from __future__ import annotations
 
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .coeff_ring import RingElem, _degree, gauss_symbol
@@ -133,25 +134,28 @@ def kubota_brute(l: int, n: int) -> LocalPart:
 def tokuyama_product(rs: RootSystemD) -> LocalPart:
     """Expand prod over positive roots of (1 - p^(d(alpha)-1) x^alpha).
 
-    Returns the untwisted n = 1 generating function as a LocalPart whose
-    coefficients are plain Laurent polynomials in p.
+    Returns the untwisted n = 1 generating function as a LocalPart of plain
+    Laurent polynomials in p, multiplied out one root at a time on
+    {weight: {p-exponent: coefficient}} dicts, apart from the ring's code.
     """
     r = rs.rank
-    coeffs: dict[tuple[int, ...], RingElem] = {(0,) * r: RingElem.one(1)}
+    coeffs: dict[tuple[int, ...], dict[int, int]] = {(0,) * r: {0: 1}}
     for root in rs.positive_roots:
-        factor = -RingElem.p_power(sum(root) - 1, 1)
+        shift = sum(root) - 1
         updated = dict(coeffs)
-        for lam, value in coeffs.items():
-            shifted = tuple(a + b for a, b in zip(lam, root))
-            add = value * factor
-            if shifted in updated:
-                add = updated[shifted] + add
-            if add.is_zero:
-                updated.pop(shifted, None)
-            else:
-                updated[shifted] = add
+        for lam, poly in coeffs.items():
+            shifted = tuple(map(add, lam, root))
+            acc = dict(updated.get(shifted, ()))
+            for e, c in poly.items():
+                c = acc.pop(e + shift, 0) - c
+                if c:
+                    acc[e + shift] = c
+            updated[shifted] = acc
+            if not acc:
+                del updated[shifted]
         coeffs = updated
-    return LocalPart(rank=r, n=1, twist=(0,) * r, coefficients=coeffs)
+    wrapped = {lam: RingElem._wrap(1, {(): poly}) for lam, poly in coeffs.items()}
+    return LocalPart(r, 1, (0,) * r, wrapped)
 
 
 def check_dimension(max_rank: int = 4, max_twist: int = 2) -> VerificationReport:

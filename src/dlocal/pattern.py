@@ -474,13 +474,14 @@ def enumerate_decorated(
     """Yield (pattern, critical positions) in canonical row-major lex order.
 
     Criticality falls out of the fill bounds, so consumers that need the
-    decorations avoid a second bound pass.
+    decorations avoid a second bound pass.  The arguments are checked at the call.
     """
     r, m = rs.rank, hw.m
     limits = _sum_limits(r, m, _check_args(rs, hw, weight_filter))
-    for rows, crit in _complete(r, m, limits, 1, (0,) * (r - 1), 0, 0):
-        circled = frozenset(pos for row_crit in crit for pos in row_crit)
-        yield LittelmannPattern._wrap(r, rows), circled
+    return (
+        (LittelmannPattern._wrap(r, rows), frozenset(pos for row_crit in crit for pos in row_crit))
+        for rows, crit in _complete(r, m, limits, 1, (0,) * (r - 1), 0, 0)
+    )
 
 
 def count_patterns(rs: RootSystemD, hw: HighestWeight) -> int:

@@ -16,7 +16,7 @@ from dlocal import (
     pattern_contribution,
     weight_vector,
 )
-from dlocal.cli import main
+from dlocal.cli import _write, main
 from dlocal.decoration import _strictness_failure
 
 
@@ -65,14 +65,14 @@ class TestCompute:
         assert out.startswith("# evaluated at p = 3/2 (non-canonical output)")
 
     def test_output_file(self, capsys, tmp_path):
+        # The file, stdout and to_json_str are the same pieces, written as they come.
         path = tmp_path / "part.json"
-        code, out, _ = run(
-            capsys,
-            "compute", "--rank", "2", "--n", "1", "--twist", "0,0",
-            "--format", "json", "--output", str(path),
-        )
-        assert code == 0 and out == ""
-        assert json.loads(path.read_text())["rank"] == 2
+        argv = ["compute", "--rank", "3", "--n", "2", "--twist", "1,0,1", "--format", "json"]
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["rank"] == 3
+        rs, hw = build_root_system(3), HighestWeight.from_twist((1, 0, 1))
+        assert path.read_text() == out == dlocal.local_part(rs, hw, 2).to_json_str() + "\n"
 
 
 class TestPatterns:
@@ -437,6 +437,19 @@ def test_missing_subcommand_is_usage_error(capsys):
             ["patterns", "--rank", "1", "--twist", "0,0", "--count-only"],
             id="patterns-rank-one-long-twist",
         ),
+        # The listing is streamed: its weight is checked before "[" is written.
+        pytest.param(
+            ["patterns", "--rank", "3", "--twist", "0,0,0", "--weight=-1,0,0"],
+            id="patterns-negative-weight",
+        ),
+        pytest.param(
+            ["patterns", "--rank", "3", "--twist", "0,0,0", "--weight=-1,0,0", "--format", "json"],
+            id="patterns-negative-weight-json",
+        ),
+        pytest.param(
+            ["compute", "--rank", "2", "--n", "1", "--twist", "1,1", "--eval-p", "0"],
+            id="eval-p-zero",
+        ),
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -447,6 +460,36 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--rank", "3", "--n", "1", "--twist", "0,0,0", "--coeff=-1,0,0"],
+        ["compute", "--rank", "2", "--n", "1", "--twist", "1,1", "--eval-p", "0"],
+        ["patterns", "--rank", "3", "--twist", "0,0,0", "--weight=-1,0,0", "--format", "json"],
+        ["patterns", "--rank", "3", "--twist", "0,0", "--weight", "1,1,1"],
+    ],
+    ids=["compute-negative-coeff", "compute-eval-p-zero", "patterns-negative-weight",
+         "patterns-twist-length"],
+)
+def test_usage_error_creates_no_output_file(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_write_opens_nothing_before_the_first_piece(capsys, tmp_path):
+    def failing():
+        raise ValueError("raised making the first piece")
+        yield
+
+    path = tmp_path / "out"
+    for target in (str(path), None):
+        with pytest.raises(ValueError):
+            _write(failing(), target)
+    assert not path.exists() and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["compute", "patterns"])
 @pytest.mark.parametrize("rank, twist", [("0", "0"), ("1", "0,0"), ("-1", "0")])
 def test_rank_error_comes_before_twist_length(capsys, command, rank, twist):
@@ -455,20 +498,29 @@ def test_rank_error_comes_before_twist_length(capsys, command, rank, twist):
     assert (code, out, err) == (2, "", f"error: rank must be >= 2, got {rank}\n")
 
 
-def test_closed_stdout_exits_quietly():
-    # The reader leaves after 100 bytes of a 127 kB text, more than a pipe
-    # holds: no error line, no "Exception ignored" at shutdown, status 0.
+def closed_stdout(*command):
+    """Status and stderr of a dev-mode CLI run whose reader leaves after 100 bytes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dlocal.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [
-        sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "dlocal.cli",
-        "compute", "--rank", "4", "--n", "2", "--twist", "0,1,2,0",
-    ]
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "dlocal.cli"]
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        argv + list(command), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         err = proc.stderr.read()
-    assert proc.returncode == 0
-    assert err == b""
+    return proc.returncode, err
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader leaves after 100 bytes of a 127 kB text, more than a pipe
+    # holds: no error line, no "Exception ignored" at shutdown, status 0.
+    argv = ["compute", "--rank", "4", "--n", "2", "--twist", "0,1,2,0"]
+    assert closed_stdout(*argv) == (0, b"")
+
+
+def test_closed_stdout_mid_listing_exits_quietly():
+    # The 45 MB listing is written as it is produced, so the pipe breaks
+    # while patterns are still being enumerated.
+    argv = ["patterns", "--rank", "4", "--twist", "0,1,2,0", "--format", "json"]
+    assert closed_stdout(*argv) == (0, b"")

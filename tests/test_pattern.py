@@ -474,6 +474,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(patterns(rs, HighestWeight((1, 1, 1)), (1, 2)))
 
+    @pytest.mark.parametrize("hw, weight", [((1, 1), None), ((1, 1, 1), (-1, 0, 0))])
+    def test_arguments_are_checked_at_the_call(self, hw, weight):
+        # Before the first pattern is asked for, so a streamed listing
+        # fails before any of its text exists.
+        with pytest.raises(ValueError):
+            enumerate_decorated(build_root_system(3), HighestWeight(hw), weight)
+
 
 def _chain_rows(r, i, box):
     """Every row i with entries in range(box) that satisfies the row chain.
