@@ -231,10 +231,14 @@ class RingElem:
 
     @classmethod
     def from_json_obj(cls, obj) -> "RingElem":
-        return cls(
-            obj["n"],
-            {tuple(t["g"]): {e: c for c, e in t["p"]} for t in obj["terms"]},
-        )
+        """Read ``to_json_obj``'s form; a repeated g-monomial or p-exponent raises ValueError."""
+        terms = {}
+        for t in obj["terms"]:
+            g, poly = tuple(t["g"]), {e: c for c, e in t["p"]}
+            if g in terms or len(poly) != len(t["p"]):
+                raise ValueError(f"repeated g-monomial or p-exponent in the term {t}")
+            terms[g] = poly
+        return cls(obj["n"], terms)
 
     # -- printing ----------------------------------------------------------
 

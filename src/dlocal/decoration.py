@@ -43,8 +43,8 @@ from .pattern import (
     _below,
     _check_args,
     _group_total,
+    _row_chain_pairs,
     _state_walk,
-    row_chain_pairs,
 )
 from .root_data import HighestWeight, RootSystemD
 
@@ -92,7 +92,7 @@ def _row_analysis(
     the equal pairs inside components that are not symmetric multiple
     leaners.
     """
-    pairs = row_chain_pairs(rank, i)
+    pairs = _row_chain_pairs(rank, i)
     label = {c: c for c in range(i, 2 * rank - i)}
     for (a, b), equal in zip(pairs, eq):
         if equal:
@@ -116,7 +116,7 @@ def _row_probes(rank: int, i: int, row: tuple[int, ...]):
     A circled entry makes the pattern nonstrict exactly when it is a probe:
     an entry 0, or an edge probe of the row's shape (``_row_analysis``).
     """
-    eq = tuple(row[a - i] == row[b - i] for a, b in row_chain_pairs(rank, i))
+    eq = tuple(row[a - i] == row[b - i] for a, b in _row_chain_pairs(rank, i))
     components, edges = _row_analysis(rank, i, eq)
     return components, edges | {(i, j) for j, v in enumerate(row, start=i) if v == 0}
 

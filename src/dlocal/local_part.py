@@ -31,17 +31,18 @@ once per distinct row.
 
 A row's fills and its term depend only on the row and the state above
 it, so the assembly never visits a single pattern: ``_extend`` is the push
-of ``pattern._state_walk``.  A target weight only narrows the fills, so a
-single coefficient and the full local part run the same code; a query's
-fills come from ``_strict_bucket``, which keeps a shared bucket's strict
-fills with their factors.  The row terms, buckets, sigma values and
-Laurent polynomials are cached and shared; nothing mutates a RingElem, a
-term dict or a polynomial once formed, so sharing is safe.
+of ``pattern._state_walk``, and ``_strict_fills`` its filter, which keeps
+the strict fills with nonzero factors.  A target weight only narrows the
+fills, so a single coefficient and the full local part run the same code;
+a query's kept fills come from ``pattern._row_bucket``, the one cache of
+buckets.  The row terms, buckets and Laurent polynomials are cached and
+shared; nothing mutates a RingElem, a term dict or a polynomial once
+formed, so sharing is safe.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 from .coeff_ring import RingElem, _degree, _mul_add, _unit_terms
@@ -57,9 +58,7 @@ from .pattern import (
     LittelmannPattern,
     Position,
     _below,
-    _bucket_entries,
     _check_args,
-    _fill_row,
     _state_walk,
     critical_positions,
 )
@@ -163,7 +162,6 @@ def _combine(n: int, readings, shift: int = 0) -> RingElem:
     return RingElem._wrap(n, {tuple(g[1:]): poly})
 
 
-@lru_cache(maxsize=None)
 def sigma_entry(value: int, circled: bool, n: int) -> RingElem:
     """Standard contribution of a single entry: an ordinary component's rule."""
     n, y = _degree(n), _at_least(value, 0, "entry value")
@@ -226,26 +224,18 @@ def pattern_contribution(T: LittelmannPattern, hw: HighestWeight, n: int) -> Rin
     return value
 
 
-def _kept(r, n, i, fills):
-    """(row, factor terms) for the (row, crit) ``fills`` of row i that are strict and nonzero."""
-    return [(row, f.terms) for row, crit in fills if (f := row_term(r, i, row, crit, n)) and f.terms]
-
-
 @lru_cache(maxsize=None)
-def _strict_bucket(n, r, i, bases, top_base, bot_base, first):
-    """``pattern._row_bucket`` kept to its strict, nonzero fills, with factors.
+def _strict_fills(n):
+    """The keep-filter of ``local_part`` at cover degree n, one object per n.
 
-    The entries are (adds, (row, factor terms)): a query's ``_row_fills``
-    filters them by its caps and ``_extend`` reads the factors, so
-    ``row_term`` runs once per fill of the slice, when the bucket is built.
-    The other fills are dropped before their adds are read.
+    It keeps the (row, crit) fills of row i that are strict with a nonzero
+    factor, as (row, factor terms).  ``pattern._row_bucket`` keys its
+    buckets by the filter, so queries at one n share them, and ``row_term``
+    runs once per fill of a bucket, when the bucket is built.
     """
-    return _bucket_entries(r, i, _kept(r, n, i, _fill_row(r, i, bases, top_base, bot_base, first)))
-
-
-def _extend_fills(r, n, i, fills, moves, below):
-    """``_extend`` along the strict, nonzero (row, crit) fills of row i."""
-    _extend(i, _kept(r, n, i, fills), moves, below)
+    def keep(r, i, fills):
+        return [(row, f.terms) for row, crit in fills if (f := row_term(r, i, row, crit, n)) and f.terms]
+    return keep
 
 
 def _extend(i, kept, moves, below):
@@ -287,9 +277,9 @@ def local_part(
     """Assemble the local part: the sum over strict patterns, state by state.
 
     ``weight`` restricts the computation to a single coefficient; the
-    state sums are ``_state_walk`` with ``_extend`` as its push (through
-    ``_extend_fills`` without a target, through ``_strict_bucket`` with
-    one), and the weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
+    state sums are ``_state_walk`` with ``_extend`` as its push and
+    ``_strict_fills(n)`` as its filter, with or without a target, and the
+    weight of a sum is (T1, T2, S(r-2), ..., S(1)).  ``jobs`` changes
     nothing; it is kept, and checked as an integer >= 0, only because
     ``bench/child.py`` and ``bench/check_bench.py`` pass it.
     """
@@ -298,8 +288,7 @@ def local_part(
     lam = _check_args(rs, hw, weight)
     r = rs.rank
     unit = _unit_terms(n)
-    push = partial(_extend_fills, r, n) if lam is None else _extend
-    pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], push, partial(_strict_bucket, n))
+    pushed = _state_walk(r, hw.m, lam, [([((), unit)], unit)], _extend, _strict_fills(n))
     coeffs = {}
     for (_, t1, t2), value in pushed.items():
         for key, terms in _sums(value).items():

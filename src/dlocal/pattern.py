@@ -55,11 +55,12 @@ lexicographic order of the emitted patterns.
 
 Sums over patterns never list them: ``_state_walk`` pushes values down
 the states between rows one row at a time, and ``count_patterns``,
-``local_part`` and ``decoration.strictness_counts`` each supply its push.
-It fills a row once per group of states with equal bounds, and a counting
-push carries the group's total along the fills of one state.  A target
-weight enters only through ``_sum_limits``: a row's caps are its limits
-less the state, and its fills come from buckets that queries share.  A
+``local_part`` and ``decoration.strictness_counts`` each supply its push,
+and ``local_part`` a filter of the fills (``_row_fills``).  It fills a row
+once per group of states with equal bounds, and a counting push carries
+the group's total along the fills of one state.  A target weight enters
+only through ``_sum_limits``: a row's caps are its limits less the state,
+and its fills come from the one cache of buckets, which queries share.  A
 group is then one state, and no state above the limits is pushed.
 """
 
@@ -128,7 +129,7 @@ class LittelmannPattern(_Frozen):
         return all(
             self.entry(i, a) >= self.entry(i, b)
             for i in range(1, self.rank)
-            for a, b in row_chain_pairs(self.rank, i)
+            for a, b in _row_chain_pairs(self.rank, i)
         )
 
     # -- serialization --------------------------------------------------------
@@ -178,12 +179,17 @@ def _row_bases(r, m, i, S, t1, t2, limits=None):
     return bases, m[1] + S[-1] - 2 * t1, m[0] + S[-1] - 2 * t2, caps
 
 
-@lru_cache(maxsize=None)
 def row_chain_pairs(rank: int, i: int) -> tuple[tuple[int, int], ...]:
     """Consecutive comparable column pairs of row i, earlier column first."""
     r, i = _at_least(rank, 2, "rank"), _at_least(i, 1, "row index")
     if i > r - 1:
         raise ValueError(f"row index must be at most {r - 1}, got {i}")
+    return _row_chain_pairs(r, i)
+
+
+@lru_cache(maxsize=None)
+def _row_chain_pairs(r, i):
+    """``row_chain_pairs`` of checked ints, cached for the strictness tests."""
     pairs = [(j, j + 1) for j in range(i, r - 2)]
     if i <= r - 2:
         pairs += [(r - 2, r - 1), (r - 2, r), (r - 1, r + 1), (r, r + 1)]
@@ -248,44 +254,42 @@ def weight_vector(T: LittelmannPattern) -> tuple[int, ...]:
 # -- enumeration --------------------------------------------------------------
 
 
-def _row_fills(r, i, bases, top_base, bot_base, caps=None, bucket=None):
-    """A fresh list of (row, crit) for every valid fill of row i.
+def _every(r, i, fills):
+    """The keep-filter of the counts and listings: every fill, as (row, crit)."""
+    return fills
 
-    The arguments after (r, i) are ``_row_bases`` of a state above row i.
-    Under caps a fill adds exactly cap[0] to column i (at the last row the
-    middle caps) and at most the other caps: a ``_row_bucket``, filtered.
-    A caller may pass its own ``bucket``, called as ``_row_bucket`` is, whose
-    (adds, item) entries are filtered alike and give their items instead.
+
+def _row_fills(r, i, bases, top_base, bot_base, caps=None, keep=_every):
+    """A fresh list of ``keep(r, i, fills)`` for the valid fills of row i.
+
+    The one place where bounds become a walk's fills: the arguments after
+    (r, i) are ``_row_bases`` of a state above row i, and ``keep`` maps the
+    (row, crit) fills to the items a push reads, each starting with its
+    row.  Under caps a fill adds exactly cap[0] to column i (at the last
+    row the middle caps) and at most the other caps: a ``_row_bucket``,
+    filtered by the caps.
     """
     if caps is None:
-        return _fill_row(r, i, bases, top_base, bot_base)
+        return keep(r, i, _fill_row(r, i, bases, top_base, bot_base))
     cap, top_cap, bot_cap = caps
     first = cap[0] if cap else (top_cap, bot_cap)
     rest = cap[1:] + (top_cap, bot_cap)
-    entries = (bucket or _row_bucket)(r, i, bases, top_base, bot_base, first)
-    return [fill for adds, fill in entries if all(map(le, adds, rest))]
+    entries = _row_bucket(keep, r, i, bases, top_base, bot_base, first)
+    return [item for adds, item in entries if all(map(le, adds, rest))]
 
 
 @lru_cache(maxsize=None)
-def _row_bucket(r, i, bases, top_base, bot_base, first):
-    """``_bucket_entries`` of row i's fills adding ``first`` to column i, (d1, d2) at the last row.
+def _row_bucket(keep, r, i, bases, top_base, bot_base, first):
+    """(adds, item) for ``keep`` of row i's fills adding ``first`` to column i, (d1, d2) at the last row.
 
-    The cache is unbounded, like ``row_term``'s, and serves repeated targeted
-    counts and listings in one process; one call meets each bucket once (200
-    untwisted D5 ``strictness_counts``, each on a cleared cache: 0 hits in
-    5,311 lookups; 400 took 0.15 s sharing it, 0.47 s clearing it first).
+    adds = (ds[1..mid-1], d1, d2), read off by ``_below``, is what the fill
+    adds under the caps after the first.  The key holds the filter, so two
+    filters' buckets never mix, and the walks of one filter object share
+    its buckets, which are unbounded like ``row_term``'s.
     """
-    return _bucket_entries(r, i, _fill_row(r, i, bases, top_base, bot_base, first))
-
-
-def _bucket_entries(r, i, fills):
-    """(adds, fill) for the (row, ...) ``fills`` of row i; adds = (ds[1..mid-1], d1, d2).
-
-    adds, read off by ``_below``, is what the fill adds under the caps after
-    the first.  ``local_part._strict_bucket`` passes (row, factor terms).
-    """
-    adds = _below((0,) * (r - i), 0, 0, fills)
-    return tuple((ds[1:] + (d1, d2), fill) for (ds, d1, d2), fill in zip(adds, fills))
+    items = keep(r, i, _fill_row(r, i, bases, top_base, bot_base, first))
+    adds = _below((0,) * (r - i), 0, 0, items)
+    return tuple((ds[1:] + (d1, d2), item) for (ds, d1, d2), item in zip(adds, items))
 
 
 def _fill_row(r, i, bases, top_base, bot_base, first=None):
@@ -351,7 +355,7 @@ def _fill_row(r, i, bases, top_base, bot_base, first=None):
 
 
 def _below(S, t1, t2, fills):
-    """The states below row i that ``fills`` lead to from the state (S, t1, t2).
+    """The states below row i that ``fills``, items (row, ...), lead to from the state (S, t1, t2).
 
     The one place where a row becomes column sums: with mid = len(S) - 1, it
     adds ds[k] = row[k] + row[-1-k] = a_{i,i+k} + bar(i,i+k) to S(i+k, .) for
@@ -406,16 +410,17 @@ def _sum_limits(r, m, lam):
     return rows + [((), lam[0], lam[1])]
 
 
-def _state_walk(r, m, lam, start, push, bucket=None):
+def _state_walk(r, m, lam, start, push, keep=_every):
     """{state below the last row: value}, pushed down from {top state: start}.
 
     The state (S, t1, t2) above row i holds S(i-1..r-2, i-1), T1(i-1) and
     T2(i-1), all that the bounds of rows i.. read.  At row i ``_row_fills``
-    runs once per group of states with equal ``_row_bases``, and ``push(i,
-    fills, moves, below)`` adds the value of each (state, value) move of the
-    group, passed along each fill (``_below``), into ``below`` {state below
-    row i: value}; S[0] = S(i-1, i-1) leaves the state there.  Two levels
-    are held at once; a value is dropped once pushed, or with its level.
+    runs once per group of states with equal ``_row_bases``, giving the
+    caller's ``keep``-filtered fills, and ``push(i, fills, moves, below)``
+    adds the value of each (state, value) move of the group, passed along
+    each fill (``_below``), into ``below`` {state below row i: value}; S[0]
+    = S(i-1, i-1) leaves the state there.  Two levels are held at once; a
+    value is dropped once pushed, or with its level.
 
     The bounds below a fill depend only on the bounds above it and on the
     fill, never on the state: with ds, d1, d2 what ``_below`` reads off the
@@ -428,7 +433,7 @@ def _state_walk(r, m, lam, start, push, bucket=None):
 
     Under ``lam`` the bounds carry caps, row i's ``_sum_limits`` minus the
     state, so a group is one state (the caps fix S(i..r-2), T1 and T2, and
-    S[0] is final), filled from ``bucket``, and no fill leads to a state
+    S[0] is final), filled from a ``_row_bucket``, and no fill leads to a state
     above the limits.  The limits see sums only: on coeff-queries round 0
     (seed 1) 3,662 states are filled, 1,593 reach lam through strict
     nonzero fills and 2,491 through bounded fills: 1,171 are arithmetic
@@ -441,7 +446,7 @@ def _state_walk(r, m, lam, start, push, bucket=None):
             groups.setdefault(_row_bases(r, m, i, *state, limits), []).append(state)
         below: dict = {}
         for bounds, states in groups.items():
-            push(i, _row_fills(r, i, *bounds, bucket), ((s, level.pop(s)) for s in states), below)
+            push(i, _row_fills(r, i, *bounds, keep), ((s, level.pop(s)) for s in states), below)
         level = below
     return level
 

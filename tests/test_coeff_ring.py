@@ -185,6 +185,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             RingElem.from_json_obj({"n": 1, "terms": [{"g": [], "p": [[2.9, 0]]}]})
 
+    def test_json_repeated_g_monomial_rejected(self):
+        terms = [{"g": [1], "p": [[1, 0]]}, {"g": [1], "p": [[2, 0]]}]
+        with pytest.raises(ValueError, match="repeated"):
+            RingElem.from_json_obj({"n": 2, "terms": terms})
+
+    def test_json_repeated_p_exponent_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            RingElem.from_json_obj({"n": 2, "terms": [{"g": [0], "p": [[1, 3], [5, 3]]}]})
+
     def test_integral_values_are_stored_as_ints(self):
         elem = RingElem(2, {(1.0,): {2.0: 3.0}})
         assert elem == gauss_symbol(1, 2) * p(2, n=2) * 3

@@ -27,7 +27,7 @@ from dlocal.decoration import (
     _strictness_failure,
     component_structure,
 )
-from dlocal.local_part import _strict_bucket, component_rule, row_term
+from dlocal.local_part import component_rule, row_term
 from dlocal.pattern import _complete, _count_push, _row_bucket, _state_walk, _sum_limits
 
 
@@ -440,7 +440,6 @@ class TestLocalPart:
         lams = sorted(full) + [tuple(v + 1 for v in max(full))]
         assert len(lams) == 2439
         _row_bucket.cache_clear()
-        _strict_bucket.cache_clear()
         for lam in lams + lams[::-1]:
             expected = {lam: full[lam]} if lam in full else {}
             assert local_part(rs, hw, 2, weight=lam).coefficients == expected, lam

@@ -23,10 +23,11 @@ from dlocal import (
 )
 from dlocal import pattern as pattern_module
 from dlocal.decoration import _row_probes, strictness_counts
-from dlocal.local_part import _strict_bucket
+from dlocal.local_part import _strict_fills
 from dlocal.pattern import (
     _below,
     _complete,
+    _every,
     _row_bases,
     _row_bucket,
     _row_fills,
@@ -894,11 +895,9 @@ class TestTargetedFillsShareBuckets:
             calls.append(args)
             return kernel(*args)
 
-        for module in (pattern_module, local_part_module):
-            monkeypatch.setattr(module, "_fill_row", counted)
+        monkeypatch.setattr(pattern_module, "_fill_row", counted)
         rs, hw, lam = build_root_system(5), HighestWeight((1,) * 5), (3, 3, 5, 6, 4)
         _row_bucket.cache_clear()
-        _strict_bucket.cache_clear()
         first = local_part(rs, hw, 1, weight=lam).coefficients
         assert calls
         calls.clear()
@@ -916,16 +915,41 @@ class TestTargetedFillsShareBuckets:
         assert again == kept and again is not fills
 
     def test_bucket_entries_are_tuples(self):
+        # Plain entries hold (row, crit), kept ones (row, factor terms).
         hw = HighestWeight.from_twist((0, 1, 2, 0))
         limits = _sum_limits(4, hw.m, (10, 10, 17, 10))[0]
         bases, top, bot, (cap, _, _) = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, limits)
-        bucket = _row_bucket(4, 1, bases, top, bot, cap[0])
-        assert isinstance(bucket, tuple) and bucket
-        for entry in bucket:
-            adds, (row, crit) = entry
-            assert all(type(x) is tuple for x in (entry, adds, entry[1], row, crit))
-            ds, d1, d2 = row_sums(row)
-            assert ds[0] == cap[0] and adds == ds[1:] + (d1, d2)
+        plain = _row_bucket(_every, 4, 1, bases, top, bot, cap[0])
+        kept = _row_bucket(_strict_fills(2), 4, 1, bases, top, bot, cap[0])
+        assert isinstance(plain, tuple) and isinstance(kept, tuple) and kept
+        assert [item for _, item in kept] == _strict_fills(2)(4, 1, [item for _, item in plain])
+        for entries, rest_type in ((plain, tuple), (kept, dict)):
+            for entry in entries:
+                adds, (row, rest) = entry
+                assert all(type(x) is tuple for x in (entry, adds, entry[1], row))
+                assert type(rest) is rest_type
+                ds, d1, d2 = row_sums(row)
+                assert ds[0] == cap[0] and adds == ds[1:] + (d1, d2)
+
+    def test_one_cache_keeps_walks_apart(self):
+        # Targeted counts, listings and parts at n = 1, 2, 3, interleaved on
+        # a seeded sample of weights, forward then reversed, from a cleared
+        # cache: plain and kept buckets, and those of different n, never mix.
+        rs, hw = build_root_system(4), HighestWeight.from_twist((0, 1, 2, 0))
+        counts = per_weight_strictness_counts(4, hw.m)
+        lams = random.Random(26).sample(sorted(counts), 40) + [(30, 30, 30, 30)]
+        listing = {lam: [] for lam in lams}
+        for T, crit in enumerate_decorated(rs, hw):
+            listing.get(weight_vector(T), []).append((T, crit))
+        parts = {n: local_part(rs, hw, n).coefficients for n in (1, 2, 3)}
+        _row_bucket.cache_clear()
+        for lam in lams + lams[::-1]:
+            assert strictness_counts(rs, hw, lam) == counts.get(lam, (0, 0)), lam
+            assert list(enumerate_decorated(rs, hw, lam)) == listing[lam], lam
+            for n, full in parts.items():
+                expected = {lam: full[lam]} if lam in full else {}
+                assert local_part(rs, hw, n, weight=lam).coefficients == expected, (lam, n)
+        assert _row_bucket.cache_info().hits
 
 
 def per_weight_strictness_counts(r, m):
@@ -955,11 +979,13 @@ def per_weight_strictness_counts(r, m):
     return {lam: (t, t - s) for lam, (t, s) in by_weight.items()}
 
 
-def strictness_count_mismatches(twist, count=None, seed=0):
+def strictness_count_mismatches(twist, count=None, seed=0, n=None):
     """Weights where the targeted ``strictness_counts`` differ from the untargeted walk's.
 
     Every weight of the patterns is checked, or ``count`` of them sampled
-    with ``seed``, and one weight outside them.
+    with ``seed``, and one weight outside them.  With a cover degree ``n``,
+    a weight whose single-coefficient query differs from the full part at
+    n is yielded too; the two kinds of query alternate.
     """
     rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
     expected = per_weight_strictness_counts(rs.rank, hw.m)
@@ -968,7 +994,15 @@ def strictness_count_mismatches(twist, count=None, seed=0):
         lams = random.Random(seed).sample(lams, count)
     outside = tuple(v + 1 for v in max(expected))
     expected[outside] = (0, 0)
-    return (lam for lam in lams + [outside] if strictness_counts(rs, hw, lam) != expected[lam])
+    full = None if n is None else local_part(rs, hw, n).coefficients
+
+    def differs(lam):
+        if strictness_counts(rs, hw, lam) != expected[lam]:
+            return True
+        coefficient = {lam: full[lam]} if lam in (full or ()) else {}
+        return full is not None and local_part(rs, hw, n, weight=lam).coefficients != coefficient
+
+    return (lam for lam in lams + [outside] if differs(lam))
 
 
 @lru_cache(maxsize=None)
