@@ -231,14 +231,19 @@ class RingElem:
 
     @classmethod
     def from_json_obj(cls, obj) -> "RingElem":
-        """Read ``to_json_obj``'s form; a repeated g-monomial or p-exponent raises ValueError."""
-        terms = {}
-        for t in obj["terms"]:
-            g, poly = tuple(t["g"]), {e: c for c, e in t["p"]}
-            if g in terms or len(poly) != len(t["p"]):
-                raise ValueError(f"repeated g-monomial or p-exponent in the term {t}")
-            terms[g] = poly
-        return cls(obj["n"], terms)
+        """Read ``to_json_obj``'s form; a missing key, a value of the wrong
+        shape, or a repeated g-monomial or p-exponent raises ValueError."""
+        try:
+            terms = {}
+            for t in obj["terms"]:
+                g, poly = tuple(t["g"]), {e: c for c, e in t["p"]}
+                if g in terms or len(poly) != len(t["p"]):
+                    raise ValueError(f"repeated g-monomial or p-exponent in the term {t}")
+                terms[g] = poly
+            n = obj["n"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed ring element JSON: {type(exc).__name__}: {exc}") from exc
+        return cls(n, terms)
 
     # -- printing ----------------------------------------------------------
 

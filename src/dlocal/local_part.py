@@ -34,10 +34,12 @@ it, so the assembly never visits a single pattern: ``_extend`` is the push
 of ``pattern._state_walk``, and ``_strict_fills`` its filter, which keeps
 the strict fills with nonzero factors.  A target weight only narrows the
 fills, so a single coefficient and the full local part run the same code;
-a query's kept fills come from ``pattern._row_bucket``, the one cache of
-buckets.  The row terms, buckets and Laurent polynomials are cached and
-shared; nothing mutates a RingElem, a term dict or a polynomial once
-formed, so sharing is safe.
+a query's kept fills are one slice of a bucket of ``pattern._row_bucket``,
+the one cache of buckets, which a query fills a slice at a time and two
+queries that meet one group of bounds fill whole.  The row terms,
+buckets and Laurent polynomials are cached and shared; a bucket gains
+slices, but nothing mutates a slice, a RingElem, a term dict or a
+polynomial once formed, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ def _strict_fills(n):
     It keeps the (row, crit) fills of row i that are strict with a nonzero
     factor, as (row, factor terms).  ``pattern._row_bucket`` keys its
     buckets by the filter, so queries at one n share them, and ``row_term``
-    runs once per fill of a bucket, when the bucket is built.
+    runs once per fill of a bucket, when its slice, or its whole group, is
+    filled.
     """
     def keep(r, i, fills):
         return [(row, f.terms) for row, crit in fills if (f := row_term(r, i, row, crit, n)) and f.terms]

@@ -60,8 +60,11 @@ and ``local_part`` a filter of the fills (``_row_fills``).  It fills a row
 once per group of states with equal bounds, and a counting push carries
 the group's total along the fills of one state.  A target weight enters
 only through ``_sum_limits``: a row's caps are its limits less the state,
-and its fills come from the one cache of buckets, which queries share.  A
-group is then one state, and no state above the limits is pushed.
+and its fills are one slice of the one cache of buckets, which queries
+share: a bucket holds the fills of one group of bounds by what they add
+to the column the row closes, the one slice asked until a second column
+sum is asked of it (which one target never does), and then all of them.
+A group is then one state, and no state above the limits is pushed.
 """
 
 from __future__ import annotations
@@ -152,7 +155,12 @@ class LittelmannPattern(_Frozen):
 
     @classmethod
     def from_json_obj(cls, obj) -> "LittelmannPattern":
-        return cls(rank=obj["rank"], rows=tuple(tuple(row) for row in obj["rows"]))
+        """Read ``to_json_obj``'s form; a missing key or a value of the wrong shape raises ValueError."""
+        try:
+            rank, rows = obj["rank"], tuple(tuple(row) for row in obj["rows"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pattern JSON: {type(exc).__name__}: {exc}") from exc
+        return cls(rank=rank, rows=rows)
 
 
 # -- bounds and criticality ---------------------------------------------------
@@ -266,30 +274,48 @@ def _row_fills(r, i, bases, top_base, bot_base, caps=None, keep=_every):
     (r, i) are ``_row_bases`` of a state above row i, and ``keep`` maps the
     (row, crit) fills to the items a push reads, each starting with its
     row.  Under caps a fill adds exactly cap[0] to column i (at the last
-    row the middle caps) and at most the other caps: a ``_row_bucket``,
-    filtered by the caps.
+    row the middle caps) and at most the other caps: the slice of that
+    column sum in the group's ``_row_bucket``, filtered by the other caps.
+
+    The first column sum asked of a group is filled alone (``_fill_row``
+    with ``first``) and stored, even when empty.  A second fills the group
+    whole, in one kernel pass without ``first``, and from then on a column
+    sum the group lacks has no fills.  The walk of one target never asks a
+    group for two column sums, so it fills only the slices it reads: at
+    row i, S(i-1, i-1) is final, so between two states with equal
+    ``bases`` S(i-1+k, i-1) differs by k D for some D; equal top and
+    bottom bases make T1 + T2 differ by (r-i-1) D, the last base by
+    (r-i) D, so D = 0 and the two ask for the same column sum.
     """
     if caps is None:
         return keep(r, i, _fill_row(r, i, bases, top_base, bot_base))
     cap, top_cap, bot_cap = caps
     first = cap[0] if cap else (top_cap, bot_cap)
     rest = cap[1:] + (top_cap, bot_cap)
-    entries = _row_bucket(keep, r, i, bases, top_base, bot_base, first)
-    return [item for adds, item in entries if all(map(le, adds, rest))]
+    slices = _row_bucket(keep, r, i, bases, top_base, bot_base)
+    if first not in slices and len(slices) < 2:
+        items = keep(r, i, _fill_row(r, i, bases, top_base, bot_base, None if slices else first))
+        filled: dict = {first: []}
+        for (ds, d1, d2), item in zip(_below((0,) * (r - i), 0, 0, items), items):
+            filled.setdefault(ds[0] if ds else (d1, d2), []).append((ds[1:] + (d1, d2), item))
+        slices.update((s, tuple(entries)) for s, entries in filled.items())
+    return [item for adds, item in slices.get(first, ()) if all(map(le, adds, rest))]
 
 
 @lru_cache(maxsize=None)
-def _row_bucket(keep, r, i, bases, top_base, bot_base, first):
-    """(adds, item) for ``keep`` of row i's fills adding ``first`` to column i, (d1, d2) at the last row.
+def _row_bucket(keep, r, i, bases, top_base, bot_base):
+    """{column sum: entries} of ``keep`` for row i's group of states with these bounds.
 
-    adds = (ds[1..mid-1], d1, d2), read off by ``_below``, is what the fill
-    adds under the caps after the first.  The key holds the filter, so two
-    filters' buckets never mix, and the walks of one filter object share
-    its buckets, which are unbounded like ``row_term``'s.
+    A column sum is what a fill adds to column i, (d1, d2) at the last row,
+    and its entries are (adds, item) in fill order, adds = (ds[1..mid-1],
+    d1, d2), read off by ``_below``, being what the fill adds under the
+    caps after the first.  ``_row_fills`` alone fills the dict: holding one
+    column sum, the group was asked that one; holding two or more, it is
+    whole.  The key holds the filter, so two filters' buckets never mix,
+    and the walks of one filter object share its buckets, which are
+    unbounded like ``row_term``'s.
     """
-    items = keep(r, i, _fill_row(r, i, bases, top_base, bot_base, first))
-    adds = _below((0,) * (r - i), 0, 0, items)
-    return tuple((ds[1:] + (d1, d2), item) for (ds, d1, d2), item in zip(adds, items))
+    return {}
 
 
 def _fill_row(r, i, bases, top_base, bot_base, first=None):
@@ -302,8 +328,11 @@ def _fill_row(r, i, bases, top_base, bot_base, first=None):
     then the left steps a_{i,i+k} - a_{i,i+k+1} for k = mid-1 down to 0 (at
     k = mid-1, a_{i,r-2} - bar(i, r-2) - max(x, y)) in [0, bases[k] + ds[k+1]
     - ds[k]] with ds[mid] = min(x, y).  An entry is critical when its step
-    fills its box; ``crit`` lists those positions in step order.  ``first``
-    fixes a_{i,i} = first - ds[0], or at the last row the middle pair (x, y).
+    fills its box; ``crit`` lists those positions in step order.  ``first``,
+    the column sum a fill adds to column i, fixes a_{i,i} = first - ds[0],
+    or at the last row the middle pair (x, y).  The fills adding ``first``
+    keep their order among all fills, so the slices of a group filled whole
+    (``_row_fills``) equal the fills of each ``first``.
     """
     mid = r - 1 - i  # a_{i,r-1} sits at vals[mid], a_{i,r} at vals[mid + 1]
     tops, bots = range(top_base + 1), range(bot_base + 1)
@@ -433,11 +462,14 @@ def _state_walk(r, m, lam, start, push, keep=_every):
 
     Under ``lam`` the bounds carry caps, row i's ``_sum_limits`` minus the
     state, so a group is one state (the caps fix S(i..r-2), T1 and T2, and
-    S[0] is final), filled from a ``_row_bucket``, and no fill leads to a state
-    above the limits.  The limits see sums only: on coeff-queries round 0
-    (seed 1) 3,662 states are filled, 1,593 reach lam through strict
-    nonzero fills and 2,491 through bounded fills: 1,171 are arithmetic
-    dead ends, and 898 die of strictness (one of them of a zero factor).
+    S[0] is final), and no fill leads to a state above the limits.  Its
+    fills are the slice of its column sum in the ``_row_bucket`` of its
+    bounds, which one walk fills a slice at a time and the walks of two
+    targets fill whole.  The limits see sums only: on coeff-queries round
+    0 (seed 1) 3,662 states are filled, from 198 kernel calls over 103
+    buckets; 1,593 reach lam through strict nonzero fills and 2,491
+    through bounded fills: 1,171 are arithmetic dead ends, and 898 die of
+    strictness (one of them of a zero factor).
     """
     level = {((0,) * (r - 1), 0, 0): start}
     for i, limits in enumerate(_sum_limits(r, m, lam), start=1):

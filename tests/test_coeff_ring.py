@@ -194,6 +194,21 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="repeated"):
             RingElem.from_json_obj({"n": 2, "terms": [{"g": [0], "p": [[1, 3], [5, 3]]}]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "terms": [{"g": [0], "p": [[1, [0]]]}]},
+            {"n": 2, "terms": [{"g": [[0]], "p": [[1, 0]]}]},
+            {"n": 2},
+            {"n": 2, "terms": [{"g": [0]}]},
+            {"n": 2, "terms": 5},
+        ],
+        ids=["list-p-exponent", "list-g-exponent", "no-terms", "no-p", "terms-not-a-list"],
+    )
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(ValueError, match="malformed"):
+            RingElem.from_json_obj(obj)
+
     def test_integral_values_are_stored_as_ints(self):
         elem = RingElem(2, {(1.0,): {2.0: 3.0}})
         assert elem == gauss_symbol(1, 2) * p(2, n=2) * 3

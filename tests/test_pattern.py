@@ -27,6 +27,7 @@ from dlocal.local_part import _strict_fills
 from dlocal.pattern import (
     _below,
     _complete,
+    _count_push,
     _every,
     _row_bases,
     _row_bucket,
@@ -198,6 +199,15 @@ class TestShape:
         assert T.rank == 3
         assert T.to_string() == text
         assert LittelmannPattern.from_json_obj(T.to_json_obj()) == T
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"rows": [[1, 1, 0, 0], [1, 0]]}, {"rank": 3}, {"rank": 3, "rows": 5}],
+        ids=["no-rank", "no-rows", "rows-not-a-list"],
+    )
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(ValueError, match="malformed"):
+            LittelmannPattern.from_json_obj(obj)
 
     def test_admissibility_middle_pair_not_compared(self):
         # a_{1,2} < a_{1,3} is fine: the middle pair is incomparable.
@@ -756,6 +766,31 @@ def row_sums(row):
     return tuple(row[k] + row[-1 - k] for k in range(mid)), row[mid], row[mid + 1]
 
 
+def column_sum(row):
+    """What a fill adds to the column its row closes: ds[0], or (d1, d2) at the last row."""
+    ds, d1, d2 = row_sums(row)
+    return ds[0] if ds else (d1, d2)
+
+
+def slice_caps(r, i, s):
+    """Caps that ask row i's group for column sum ``s`` and cap nothing else."""
+    mid, big = r - 1 - i, 10**6
+    return ((s,) + (big,) * (mid - 1), big, big) if mid else ((),) + s
+
+
+def walked_groups(r, m):
+    """(i, bounds) of every group of states that the untargeted walk fills, once each."""
+    groups = {}
+
+    def push(i, fills, moves, below):
+        moves = list(moves)
+        groups[i, _row_bases(r, m, i, *moves[0][0])[:3]] = None
+        _count_push(i, fills, iter(moves), below)
+
+    _state_walk(r, m, None, 1, push)
+    return list(groups)
+
+
 def child_bounds(bounds, fill, limits=None, child_limits=None):
     """The bounds below ``fill`` from its group's bounds, by the rule in ``_state_walk``.
 
@@ -915,21 +950,109 @@ class TestTargetedFillsShareBuckets:
         assert again == kept and again is not fills
 
     def test_bucket_entries_are_tuples(self):
-        # Plain entries hold (row, crit), kept ones (row, factor terms).
+        # Buckets of D4 (0,1,2,0) groups made whole by two column sums, at
+        # row 1 and at the last row: {column sum: entries}, plain entries
+        # holding (row, crit), kept ones (row, factor terms).
         hw = HighestWeight.from_twist((0, 1, 2, 0))
-        limits = _sum_limits(4, hw.m, (10, 10, 17, 10))[0]
-        bases, top, bot, (cap, _, _) = _row_bases(4, hw.m, 1, (0, 0, 0), 0, 0, limits)
-        plain = _row_bucket(_every, 4, 1, bases, top, bot, cap[0])
-        kept = _row_bucket(_strict_fills(2), 4, 1, bases, top, bot, cap[0])
-        assert isinstance(plain, tuple) and isinstance(kept, tuple) and kept
-        assert [item for _, item in kept] == _strict_fills(2)(4, 1, [item for _, item in plain])
-        for entries, rest_type in ((plain, tuple), (kept, dict)):
-            for entry in entries:
-                adds, (row, rest) = entry
-                assert all(type(x) is tuple for x in (entry, adds, entry[1], row))
-                assert type(rest) is rest_type
-                ds, d1, d2 = row_sums(row)
-                assert ds[0] == cap[0] and adds == ds[1:] + (d1, d2)
+        _row_bucket.cache_clear()
+        for i, state in ((1, ((0, 0, 0), 0, 0)), (3, ((4,), 2, 2))):
+            bounds = _row_bases(4, hw.m, i, *state)[:3]
+            sums = sorted({column_sum(row) for row, _ in pattern_module._fill_row(4, i, *bounds)})
+            assert len(sums) > 2
+            for keep in (_every, _strict_fills(2)):
+                _row_fills(4, i, *bounds, slice_caps(4, i, sums[0]), keep)
+                assert list(_row_bucket(keep, 4, i, *bounds)) == [sums[0]]
+                _row_fills(4, i, *bounds, slice_caps(4, i, sums[-1]), keep)
+            plain = _row_bucket(_every, 4, i, *bounds)
+            kept = _row_bucket(_strict_fills(2), 4, i, *bounds)
+            assert set(plain) == set(sums) and set(kept) <= set(plain) and any(kept.values())
+            for s, entries in plain.items():
+                items = [item for _, item in kept.get(s, ())]
+                assert items == _strict_fills(2)(4, i, [item for _, item in entries])
+            for slices, rest_type in ((plain, tuple), (kept, dict)):
+                for s, entries in slices.items():
+                    assert type(entries) is tuple
+                    for entry in entries:
+                        adds, (row, rest) = entry
+                        assert all(type(x) is tuple for x in (entry, adds, entry[1], row))
+                        assert type(rest) is rest_type
+                        ds, d1, d2 = row_sums(row)
+                        assert column_sum(row) == s and adds == ds[1:] + (d1, d2)
+
+    @pytest.mark.parametrize(
+        "twist", list(product(range(2), repeat=4)) + [(0, 1, 2, 0), (0,) * 5, (1, 0, 1, 0, 0)]
+    )
+    def test_whole_group_slices_are_kernel_slices(self, twist):
+        # Every group of the untargeted walk, asked for its largest column
+        # sum and then its smallest (or one it lacks): each slice of the
+        # whole group is the kernel's fills of that column sum, in order,
+        # and a column sum the group lacks reads as empty.
+        r, m = len(twist), HighestWeight.from_twist(twist).m
+        kernel = pattern_module._fill_row
+        _row_bucket.cache_clear()
+        for i, bounds in walked_groups(r, m):
+            sums = sorted({column_sum(row) for row, _ in kernel(r, i, *bounds)})
+            lacked = sums[-1] + 1 if r - 1 - i else (sums[-1][0] + 1, 0)
+            for s in (sums[-1], sums[0] if len(sums) > 1 else lacked, lacked):
+                _row_fills(r, i, *bounds, slice_caps(r, i, s))
+            slices = _row_bucket(_every, r, i, *bounds)
+            assert set(slices) == set(sums) | ({lacked} if len(sums) == 1 else set())
+            for s in sums:
+                assert [item for _, item in slices[s]] == kernel(r, i, *bounds, s)
+            assert slices.get(lacked, ()) == () and kernel(r, i, *bounds, lacked) == []
+
+    def test_cold_single_query_fills_only_its_slices(self, monkeypatch):
+        # One target asks each group for one column sum (see ``_row_fills``),
+        # so a query from a cleared cache never runs the kernel without
+        # ``first``: not for a coefficient, a count or a listing.
+        calls = []
+        kernel = pattern_module._fill_row
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(pattern_module, "_fill_row", counted)
+        d5 = random.Random(27).sample(sorted(untwisted_d5_part(1)), 15)
+        d4 = random.Random(27).sample(walk_weights(4, HighestWeight.from_twist((0, 1, 2, 0)).m), 15) + [(10, 10, 17, 10)]
+        for twist, n, lams in (((0,) * 5, 1, d5), ((0, 1, 2, 0), 2, d4)):
+            rs, hw = build_root_system(len(twist)), HighestWeight.from_twist(twist)
+            queries = (
+                lambda lam: local_part(rs, hw, n, weight=lam),
+                lambda lam: strictness_counts(rs, hw, lam),
+                lambda lam: list(enumerate_decorated(rs, hw, lam)),
+            )
+            for lam in lams:
+                for query in queries:
+                    _row_bucket.cache_clear()
+                    calls.clear()
+                    query(lam)
+                    assert calls and all(len(args) == 6 and args[5] is not None for args in calls)
+
+    def test_second_column_sum_fills_a_group_whole_once(self, monkeypatch):
+        # Untwisted D5 queries at n = 1 whose targets differ in the last
+        # coordinate, the column sum of row 1's one group.  The first
+        # fills that slice, the second fills the group whole, and then no
+        # query runs the kernel for it; no group is filled whole twice.
+        firsts = {}  # group: the ``first`` of each kernel call, None for a whole pass
+        kernel = pattern_module._fill_row
+
+        def counted(*args):
+            firsts.setdefault(args[:5], []).append(args[5] if len(args) > 5 else None)
+            return kernel(*args)
+
+        monkeypatch.setattr(pattern_module, "_fill_row", counted)
+        rs, hw, full = build_root_system(5), HighestWeight((1,) * 5), untwisted_d5_part(1)
+        by_last = {lam[-1]: lam for lam in random.Random(27).sample(sorted(full), 40)}
+        lams = list(by_last.values())[:3]
+        assert len(lams) == 3
+        _row_bucket.cache_clear()
+        for lam in lams + lams:
+            assert local_part(rs, hw, 1, weight=lam).coefficients == {lam: full[lam]}
+        top = (5, 1) + _row_bases(5, hw.m, 1, (0,) * 4, 0, 0)[:3]
+        assert firsts[top] == [lams[0][-1], None]
+        assert all(f[0] is not None and f[1:] in ([], [None]) for f in firsts.values())
+        assert sum(f[1:] == [None] for f in firsts.values()) > 1
 
     def test_one_cache_keeps_walks_apart(self):
         # Targeted counts, listings and parts at n = 1, 2, 3, interleaved on
